@@ -36,7 +36,6 @@ from repro.mqtt.network import LinkProfile, NetworkModel, TrafficLog, TrafficRec
 from repro.mqtt.broker import MQTTBroker, BrokerStats, Subscription
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.bridge import BrokerBridge, BridgeRule
-from repro.mqtt.threaded import ThreadedBrokerAdapter
 
 __all__ = [
     "MQTTError",
@@ -61,5 +60,4 @@ __all__ = [
     "MQTTClient",
     "BrokerBridge",
     "BridgeRule",
-    "ThreadedBrokerAdapter",
 ]

@@ -232,13 +232,6 @@ class EventScheduler:
         self._pairs = PairTails()
 
         self._trace = hashlib.sha256() if record_trace else None
-        # Structured copy of every trace line, kept only while tracing:
-        # ``(due, region_tag, sequence, line_bytes)``.  The region tag is the
-        # receiver's shard-cut ordinal (``assign_trace_region``), 0 when
-        # untagged; ``runtime/shards.py`` merges these into the canonical
-        # global digest sorted on ``(due, region, sequence)``.
-        self._trace_entries: List[Tuple[float, int, int, bytes]] = []
-        self._trace_regions: Dict[int, int] = {}
         # Observability hooks (repro.obs).  Both default to detached so the
         # per-event cost is one ``is None`` check; ``tools/bench.py`` gates
         # the attached cost (``obs_overhead_ratio``).
@@ -782,26 +775,6 @@ class EventScheduler:
             return None
         return self._trace.hexdigest()
 
-    def assign_trace_region(self, receiver_id: str, region: int) -> None:
-        """Tag *receiver_id*'s future trace entries with shard-cut *region*.
-
-        The tag feeds the canonical merged digest (sorted on
-        ``(deliver_at, region, sequence)``): per-shard digests are computed
-        over a region subset of the same total order, so the global digest is
-        byte-identical for any shard layout.  No-op unless ``record_trace``.
-        """
-        if self._trace is None:
-            return
-        self._trace_regions[self._ids.intern(receiver_id)] = int(region)
-
-    def trace_entries(self) -> List[Tuple[float, int, int, bytes]]:
-        """Structured ``(due, region, sequence, line)`` trace entries.
-
-        Dispatch-ordered, exactly one entry per line hashed into
-        :attr:`trace_digest`.  Empty unless ``record_trace`` was set.
-        """
-        return self._trace_entries
-
     # ------------------------------------------------------------- processing
 
     def _advance_clock(self, due: float) -> None:
@@ -891,13 +864,9 @@ class EventScheduler:
         unclamped = columns.unclamped[slot]  # type: ignore[index]
         columns.free(slot)  # type: ignore[arg-type]
         if self._trace is not None:
-            line = (
+            self._trace.update(
                 f"{message.topic}|{message.sender_id}|{self._ids.value(receiver_idx)}"
                 f"|{due:.9f}|{sequence}\n".encode()
-            )
-            self._trace.update(line)
-            self._trace_entries.append(
-                (due, self._trace_regions.get(receiver_idx, 0), sequence, line)
             )
         if self._obs_observe is not None:
             self._obs_observe(due - message.timestamp)
@@ -968,14 +937,9 @@ class EventScheduler:
                     self.deliveries_dropped += 1
                 return False
         if self._trace is not None:
-            receiver_idx = int(batch.receiver_idx[i])
-            line = (
-                f"{message.topic}|{message.sender_id}|{self._ids.value(receiver_idx)}"
+            self._trace.update(
+                f"{message.topic}|{message.sender_id}|{self._ids.value(batch.receiver_idx[i])}"
                 f"|{due:.9f}|{batch.seq0 + i}\n".encode()
-            )
-            self._trace.update(line)
-            self._trace_entries.append(
-                (due, self._trace_regions.get(receiver_idx, 0), batch.seq0 + i, line)
             )
         if self._obs_observe is not None:
             self._obs_observe(due - message.timestamp)

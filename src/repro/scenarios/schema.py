@@ -22,7 +22,6 @@ from repro.scenarios.spec import (
     FleetSpec,
     NetworkSpec,
     ScenarioSpec,
-    ShardingSpec,
     TopologySpec,
     TrainingSpec,
 )
@@ -38,7 +37,6 @@ _SECTIONS: Tuple[Tuple[str, str, Type], ...] = (
     ("TopologySpec", "`topology`", TopologySpec),
     ("NetworkSpec", "`network`", NetworkSpec),
     ("TrainingSpec", "`training`", TrainingSpec),
-    ("ShardingSpec", "`sharding`", ShardingSpec),
     ("ChurnEvent", "`churn[]`", ChurnEvent),
     ("FaultSpec", "`faults[]`", FaultSpec),
     ("SweepSpec", "top level (grid files)", SweepSpec),

@@ -218,7 +218,7 @@ class ResultsStore:
         # Concurrent-writer posture: WAL lets readers (serve mode, a
         # --resume consult) proceed while another process commits a cell,
         # and the busy timeout turns writer-vs-writer "database is locked"
-        # races (parallel grids, sharded runs sharing one store) into short
+        # races (parallel grids sharing one store) into short
         # waits instead of hard errors.  journal_mode returns the mode
         # actually in effect — some filesystems refuse WAL — so the
         # fallback is whatever sqlite kept, with the timeout still applied.

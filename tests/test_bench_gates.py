@@ -34,9 +34,6 @@ def _metrics(**overrides):
         "aggregation_reduce_s": 0.05,
         "obs_overhead_ratio": 1.0,
         "scheduler_rss_per_10k_clients_mb": 40.0,
-        "scheduler_sharded_deliveries_per_s": 600_000.0,
-        "shard_scaling_x": 2.0,
-        "shard_bench_cpus": 1,
     }
     metrics.update(overrides)
     return metrics
@@ -196,58 +193,22 @@ def test_global_tolerance_overrides_every_gate(tmp_path, baseline):
     assert bench.check_regression(baseline, tolerance=0.5, fresh_path=fresh) == 1
 
 
-def test_sharded_gate_catches_regressions(tmp_path, baseline):
-    # -30% passes the 45% throughput tolerance; -60% fails it.
-    fine = _doc(
-        tmp_path / "fine.json",
-        _metrics(scheduler_sharded_deliveries_per_s=420_000.0),
-    )
-    assert bench.check_regression(baseline, fresh_path=fine) == 0
-    slow = _doc(
-        tmp_path / "slow.json",
-        _metrics(scheduler_sharded_deliveries_per_s=240_000.0),
-    )
-    assert bench.check_regression(baseline, fresh_path=slow) == 1
-
-
-def test_shard_scaling_relative_gate(tmp_path, baseline):
-    # Scaling 1.4 vs baseline 2.0 is -30% (within 35%); 1.2 is -40% (fails).
-    fine = _doc(tmp_path / "fine.json", _metrics(shard_scaling_x=1.4))
-    assert bench.check_regression(baseline, fresh_path=fine) == 0
-    slow = _doc(tmp_path / "slow.json", _metrics(shard_scaling_x=1.2))
-    assert bench.check_regression(baseline, fresh_path=slow) == 1
-
-
-def test_shard_scaling_absolute_floor_is_cpu_gated(tmp_path, baseline, capsys):
-    """The >= 1.5x floor binds only when the fresh run had >= 4 CPUs.
-
-    On a single-core runner the relative gate still applies but the
-    absolute floor is skipped (processes cannot scale without cores); on a
-    4-CPU machine a scaling figure below the floor fails even when it is
-    within the relative tolerance of the committed baseline.
-    """
-    # 1-CPU fresh run scaling 1.4: relative gate passes, floor skipped.
-    single_core = _doc(
-        tmp_path / "single.json", _metrics(shard_scaling_x=1.4, shard_bench_cpus=1)
-    )
-    assert bench.check_regression(baseline, fresh_path=single_core) == 0
-    assert "skipped" in capsys.readouterr().out
-
-    # Same figures from a 4-CPU machine: the absolute floor now fails.
-    quad_core = _doc(
-        tmp_path / "quad.json", _metrics(shard_scaling_x=1.4, shard_bench_cpus=4)
-    )
-    assert bench.check_regression(baseline, fresh_path=quad_core) == 1
-    assert "absolute" in capsys.readouterr().out
-
-    # And a healthy multi-core figure passes it.
-    healthy = _doc(
-        tmp_path / "healthy.json", _metrics(shard_scaling_x=1.8, shard_bench_cpus=8)
-    )
-    assert bench.check_regression(baseline, fresh_path=healthy) == 0
-
-
 def test_committed_baseline_has_every_gate_metric():
     """The real BENCH_pr10.json must satisfy every gate against itself."""
     baseline_path = os.path.join(REPO_ROOT, "BENCH_pr10.json")
     assert bench.check_regression(baseline_path, fresh_path=baseline_path) == 0
+
+
+def test_committed_baseline_ignores_metrics_the_fresh_run_no_longer_emits(tmp_path):
+    """BENCH_pr10.json still carries shard metrics; a fresh document without
+    them (what ``tools/bench.py`` emits now) gates cleanly against it."""
+    baseline_path = os.path.join(REPO_ROOT, "BENCH_pr10.json")
+    with open(baseline_path, "r", encoding="utf-8") as handle:
+        metrics = json.load(handle)["metrics"]
+    dropped = [name for name in metrics if "shard" in name or name == "fanout_rss_delta_mb"]
+    assert dropped, "the committed baseline predates the shard-bench removal"
+    fresh = _doc(
+        tmp_path / "fresh.json",
+        {name: value for name, value in metrics.items() if name not in dropped},
+    )
+    assert bench.check_regression(baseline_path, fresh_path=fresh) == 0

@@ -28,6 +28,11 @@ class TestCLIParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ablation", "does-not-exist"])
 
+    def test_removed_shards_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "run", "baseline", "--shards", "2"])
+        assert exit_info.value.code == 2
+
     def test_ablation_registry_matches_module(self):
         assert set(ABLATIONS) == {
             "aggregator-fraction", "payload-compression", "role-rearrangement",

@@ -92,6 +92,19 @@ class TestTrafficLog:
         assert log.bytes_sent_by("s") == 350
         assert log.messages_on_topic("t") == 2
 
+    def test_aggregates_stay_exact_past_the_initial_id_capacity(self):
+        # 300 fresh receivers + 300 fresh topics intern well past the 256
+        # preallocated id slots, so the counter columns grow mid-``add``.
+        log = TrafficLog()
+        for i in range(300):
+            log.add(self._record(receiver=f"r{i}", nbytes=i + 1, topic=f"t{i}"))
+        assert log.total_messages == 300
+        assert log.total_payload_bytes == 300 * 301 // 2
+        assert log.bytes_sent_by("s") == 300 * 301 // 2
+        for i in range(300):
+            assert log.bytes_received_by(f"r{i}") == i + 1
+            assert log.messages_on_topic(f"t{i}") == 1
+
     def test_total_bytes_includes_protocol_overhead(self):
         record = self._record(nbytes=100)
         assert record.total_bytes == 100 + PACKET_OVERHEAD_BYTES * 2

@@ -10,6 +10,7 @@ delivery order (trace signature) and final model state.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from repro.scenarios import (
     scenario_summaries,
 )
 from repro.sim.events import ChurnEvent
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _tiny_spec(**overrides) -> ScenarioSpec:
@@ -142,6 +145,9 @@ class TestSpecDictForms:
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ScenarioSpecError, match="unknown scenario field"):
             ScenarioSpec.from_dict({"name": "x", "fleeet": {}})
+        # The removed process-sharding section is an unknown field like any other.
+        with pytest.raises(ScenarioSpecError, match=r"unknown scenario field.*'sharding'"):
+            ScenarioSpec.from_dict({"name": "x", "sharding": {"shards": 2}})
 
     def test_unknown_nested_field_rejected(self):
         with pytest.raises(ScenarioSpecError, match="unknown fleet field"):
@@ -320,6 +326,32 @@ class TestScenarioRunner:
         assert result.rounds[0].participants == 4
         assert result.rounds[-1].participants == 6
         assert result.clients_admitted == 2
+
+    def test_committed_bridged_multi_region_signature(self):
+        path = os.path.join(
+            REPO_ROOT, "tests", "data", "bridged-multi-region.signatures.json"
+        )
+        with open(path, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        result = ScenarioRunner().run(golden["scenario"])
+        assert result.signature == golden["signature"]
+
+    def test_64_client_fleet_outgrows_the_traffic_log_id_table(self):
+        # 64 clients intern more than the 256 preallocated traffic-log ids;
+        # the scalar ``TrafficLog.add`` path used to die there.
+        spec = _tiny_spec(
+            fleet=FleetSpec(num_clients=64),
+            training=TrainingSpec(
+                rounds=2, local_epochs=1, dataset_samples=800,
+                client_data_fraction=0.05, train_for_real=False,
+            ),
+        )
+        runner = ScenarioRunner()
+        first = runner.run(spec)
+        second = runner.run(spec)
+        assert first.rounds_completed == 2
+        assert first.rounds[-1].participants == 64
+        assert first.signature == second.signature
 
     def test_run_suite_orders_by_name_then_seed(self):
         runner = ScenarioRunner()

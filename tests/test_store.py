@@ -296,6 +296,20 @@ class TestRunWithStore:
         assert ScenarioRunner.format_rounds(cached) == ScenarioRunner.format_rounds(fresh)
         assert runner.store_hits == 1 and runner.store_misses == 1
 
+    def test_row_written_before_sharding_was_removed_still_serves(self, store):
+        # Payloads stored by earlier versions carry three extra keys; a row
+        # that still has them must load and render like a fresh run.
+        spec = _tiny_base()
+        fresh = ScenarioRunner().run(spec)
+        payload = fresh.to_payload()
+        payload.update(canonical_digest="ab" * 32, sharded_signature="cd" * 32, shards=2)
+        store.put_run(spec_hash(spec), spec.seed, spec, fresh.signature, payload)
+        cached = ScenarioRunner(store=store).run(spec)
+        assert cached.from_store
+        assert cached.signature == fresh.signature
+        assert ScenarioRunner.format_rounds(cached) == ScenarioRunner.format_rounds(fresh)
+        assert ScenarioRunner.format_summary([cached]) == ScenarioRunner.format_summary([fresh])
+
     def test_cached_signature_matches_a_storeless_runner(self, store):
         cached = ScenarioRunner(store=store)
         baseline = ScenarioRunner()

@@ -103,26 +103,7 @@ GATES = (
     # the loose tolerance; a real per-client leak multiplies the figure.
     ("scheduler_rss_per_10k_clients_mb",
      lambda m: float(m["scheduler_rss_per_10k_clients_mb"]), 0.50, "lower"),
-    # Sharded event loop: aggregate delivery throughput of the 4-process
-    # region-sharded run, and its speed-up over the 1-shard run of the same
-    # workload.  Both are relative gates; the *absolute* >= 1.5x scaling
-    # floor is enforced separately in check_regression and only on machines
-    # with >= 4 CPUs (see SHARD_SCALING_FLOOR) — a single-core runner
-    # physically cannot scale, and pretending otherwise would make the gate
-    # meaningless.  Process scheduling magnifies noise, hence the widths.
-    # Quick mode runs a 6x smaller fleet whose throughput sits ~30% below
-    # the full shape's (less vectorized fan-out per window), so the
-    # throughput tolerance absorbs shape + noise; scaling is shape-stable.
-    ("scheduler_sharded_deliveries_per_s",
-     lambda m: float(m["scheduler_sharded_deliveries_per_s"]), 0.45, "higher"),
-    ("shard_scaling_x", lambda m: float(m["shard_scaling_x"]), 0.35, "higher"),
 )
-
-#: Absolute sharded-scaling floor (4 shards vs 1) on multi-core machines.
-SHARD_SCALING_FLOOR = 1.5
-#: Fewer CPUs than this and the absolute floor is skipped (relative gates
-#: still apply): shards are processes, so scaling needs real cores.
-SHARD_SCALING_MIN_CPUS = 4
 
 SCHEDULER_CLIENTS = 1_200
 SCHEDULER_BROADCASTS = 25
@@ -137,14 +118,6 @@ SCHEDULER_12K_BROADCASTS = 6
 #: +10k subscribed-but-idle clients (measured in a fresh subprocess).
 IDLE_RSS_BASE_CLIENTS = 2_000
 IDLE_RSS_EXTRA_CLIENTS = 10_000
-
-#: Sharded fan-out shape (ISSUE 10 tentpole): a 24k-client fleet over 4
-#: regions, each region's broker + scheduler owned by one worker process,
-#: synchronized at window barriers with cross-region traffic over pipes.
-SHARDED_FANOUT_CLIENTS = 24_000
-SHARDED_FANOUT_REGIONS = 4
-SHARDED_FANOUT_WINDOWS = 4
-SHARDED_FANOUT_SHARDS = 4
 
 
 # ----------------------------------------------------------------- workloads
@@ -303,92 +276,6 @@ def bench_scheduler_12k(num_clients: int = SCHEDULER_12K_CLIENTS,
         "scheduler_12k_clients": num_clients,
         "scheduler_12k_deliveries": num_clients * num_broadcasts,
         "scheduler_12k_deliveries_per_s": best,
-    }
-
-
-def bench_sharded_fanout(
-    num_clients: int = SHARDED_FANOUT_CLIENTS,
-    regions: int = SHARDED_FANOUT_REGIONS,
-    windows: int = SHARDED_FANOUT_WINDOWS,
-    shards: int = SHARDED_FANOUT_SHARDS,
-    rounds: int = 3,
-) -> Dict[str, float]:
-    """Sharded fan-out, measured in a fresh subprocess.
-
-    Shard workers are forked from the measuring process, so running this
-    inside the full bench suite would hand every worker a copy of the
-    suite's accumulated heap (12k-client fleets, codec payloads) to drag
-    through its garbage collector — observed to flip the 4-shard speed-up
-    into a slowdown.  A fresh interpreter is the honest parent.
-    """
-    probe = subprocess.run(
-        [
-            sys.executable, os.path.abspath(__file__),
-            "--sharded-probe", str(num_clients), str(regions),
-            str(windows), str(shards), str(rounds),
-        ],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=_REPO_ROOT,
-    )
-    return json.loads(probe.stdout)
-
-
-def _sharded_fanout_measure(
-    num_clients: int,
-    regions: int,
-    windows: int,
-    shards: int,
-    rounds: int,
-) -> Dict[str, float]:
-    """Process-sharded event loop vs the same workload on one shard.
-
-    The workload is the region-partitioned broadcast fleet from
-    :mod:`repro.runtime.shards`: each region has its own broker and
-    command fan-out plus cross-region traffic relayed over pipes at window
-    barriers.  Both runs use the identical worker protocol — the 1-shard
-    run pays the same process/pipe plumbing — so ``shard_scaling_x`` is a
-    clean parallel-speedup figure, not a protocol-overhead comparison.
-    Process scheduling makes single runs noisy, so both layouts take the
-    best of ``rounds`` (the one-sided-noise estimator every scheduler gate
-    uses).  Traces are off for honest numbers; delivery counts (checked
-    equal) pin that both layouts did the same work, and the shard
-    invariance *tests* pin digest equality with tracing on.
-    """
-    from repro.runtime.shards import ShardWorkload, run_sharded
-
-    workload = ShardWorkload(
-        regions=regions,
-        clients_per_region=num_clients // regions,
-        windows=windows,
-    )
-    single = max(
-        (run_sharded(workload, shards=1) for _ in range(rounds)),
-        key=lambda result: result.deliveries_per_s,
-    )
-    multi = max(
-        (run_sharded(workload, shards=shards) for _ in range(rounds)),
-        key=lambda result: result.deliveries_per_s,
-    )
-    if single.deliveries != multi.deliveries:
-        raise RuntimeError(
-            f"sharded fan-out bench layout mismatch: 1-shard delivered "
-            f"{single.deliveries}, {shards}-shard delivered {multi.deliveries}"
-        )
-    return {
-        "sharded_fanout_clients": float(num_clients),
-        "sharded_fanout_regions": float(regions),
-        "sharded_fanout_windows": float(windows),
-        "sharded_fanout_shards": float(shards),
-        "sharded_fanout_deliveries": float(multi.deliveries),
-        "scheduler_sharded_1shard_deliveries_per_s": single.deliveries_per_s,
-        "scheduler_sharded_deliveries_per_s": multi.deliveries_per_s,
-        "shard_scaling_x": multi.deliveries_per_s
-        / max(single.deliveries_per_s, 1e-9),
-        # Recorded so the regression check can key the absolute scaling
-        # floor on the machine that produced the fresh figures.
-        "shard_bench_cpus": float(os.cpu_count() or 1),
     }
 
 
@@ -574,20 +461,14 @@ def _fanout_probe(num_clients: int, num_broadcasts: int) -> None:
     """Subprocess entry point: run the broadcast, print the RSS metrics.
 
     ``ru_maxrss`` is a lifetime high-water mark, so the probe runs in its own
-    process and reports the *delta* above the post-import baseline alongside
-    the absolute peak — the delta is the fan-out's own memory and is what a
-    copy-per-subscriber regression moves.
+    process; the absolute peak is what a copy-per-subscriber regression moves.
     """
-    baseline_mb = _peak_rss_mb()
     result = bench_scheduler(num_clients, num_broadcasts, payload=bytes(_FANOUT_PAYLOAD_BYTES))
-    peak_mb = _peak_rss_mb()
     print(json.dumps({
         "fanout_clients": num_clients,
         "fanout_deliveries": result["scheduler_deliveries"],
         "fanout_payload_bytes": _FANOUT_PAYLOAD_BYTES,
-        "fanout_peak_rss_mb": peak_mb,
-        "fanout_baseline_rss_mb": baseline_mb,
-        "fanout_rss_delta_mb": peak_mb - baseline_mb,
+        "fanout_peak_rss_mb": _peak_rss_mb(),
     }))
 
 
@@ -689,13 +570,6 @@ def run_benches(quick: bool, label: str = "adhoc") -> Dict[str, object]:
     # which made quick-fresh vs full-baseline gating flaky.
     print("• scheduler 12k-client fan-out throughput ...", file=sys.stderr)
     metrics.update(bench_scheduler_12k())
-    print("• sharded event loop (process-parallel region shards) ...", file=sys.stderr)
-    metrics.update(
-        bench_sharded_fanout(
-            num_clients=4_000 if quick else SHARDED_FANOUT_CLIENTS,
-            windows=2 if quick else SHARDED_FANOUT_WINDOWS,
-        )
-    )
     print("• codec encode/decode ...", file=sys.stderr)
     metrics.update(bench_codec(payload_mb=2 if quick else 10))
     print("• update codec (int8) encode/decode ...", file=sys.stderr)
@@ -804,29 +678,6 @@ def check_regression(
             f"{name}: fresh {fmt(fresh)} vs baseline {fmt(reference)} "
             f"({bound_label} {fmt(bound)} at {gate_tolerance:.0%} tolerance) -> {verdict}"
         )
-    # Absolute sharded-scaling floor (the PR-10 acceptance bar): on
-    # multi-core hardware the 4-shard run must deliver at least
-    # SHARD_SCALING_FLOOR x the 1-shard figure.  Keyed on the *fresh*
-    # document's recorded CPU count: shards are processes, so a single-core
-    # runner physically cannot scale and skips the absolute check (clearly
-    # logged) while every relative gate above still applies.
-    if fresh_path is not None and "shard_scaling_x" in fresh_metrics:
-        scaling = float(fresh_metrics["shard_scaling_x"])
-        cpus = int(fresh_metrics.get("shard_bench_cpus", 0) or 0)
-        if cpus >= SHARD_SCALING_MIN_CPUS:
-            ok = scaling >= SHARD_SCALING_FLOOR
-            failed = failed or not ok
-            print(
-                f"shard_scaling_x (absolute): fresh {scaling:.2f}x vs floor "
-                f"{SHARD_SCALING_FLOOR:.2f}x on {cpus} CPUs -> "
-                f"{'OK' if ok else 'REGRESSION'}"
-            )
-        else:
-            print(
-                f"shard_scaling_x (absolute): skipped — fresh run had "
-                f"{cpus} CPU(s), floor needs >= {SHARD_SCALING_MIN_CPUS} "
-                f"(relative gate above still applied)"
-            )
     # Absolute throughput is machine-dependent; surface an environment
     # mismatch so a gate failure on a different class of machine is easy to
     # diagnose (regenerate the baseline with --output on the gating machine,
@@ -853,16 +704,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=None, help="override every gate's default fractional tolerance for --check (default: per-metric)")
     parser.add_argument("--fanout-probe", nargs=2, metavar=("CLIENTS", "BROADCASTS"), help=argparse.SUPPRESS)
     parser.add_argument("--idle-rss-probe", nargs=2, metavar=("BASE", "EXTRA"), help=argparse.SUPPRESS)
-    parser.add_argument("--sharded-probe", nargs=5,
-                        metavar=("CLIENTS", "REGIONS", "WINDOWS", "SHARDS", "ROUNDS"),
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.fanout_probe:
         _fanout_probe(int(args.fanout_probe[0]), int(args.fanout_probe[1]))
-        return 0
-    if args.sharded_probe:
-        print(json.dumps(_sharded_fanout_measure(*(int(v) for v in args.sharded_probe))))
         return 0
     if args.idle_rss_probe:
         _idle_rss_probe(int(args.idle_rss_probe[0]), int(args.idle_rss_probe[1]))
