@@ -75,7 +75,10 @@ class BatchChunk:
             raise BatchReassemblyError("payload does not carry the batch magic bytes")
         if version != _VERSION:
             raise BatchReassemblyError(f"unsupported batch format version {version}")
-        batch_id = batch_id_bytes.rstrip(b"\x00").decode("ascii")
+        try:
+            batch_id = batch_id_bytes.rstrip(b"\x00").decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise BatchReassemblyError(f"batch id is not ASCII: {exc}") from exc
         return cls(
             batch_id=batch_id,
             index=index,

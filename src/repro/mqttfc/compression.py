@@ -94,7 +94,8 @@ def decompress_payload(data: "bytes | memoryview", copy: bool = True) -> "bytes 
 
     With ``copy=False`` an uncompressed body comes back as a ``memoryview``
     aliasing ``data`` (no copy); compressed bodies always inflate into fresh
-    bytes.
+    bytes.  The zlib stream must span the whole body: a truncated stream or
+    bytes after its end raise :class:`CompressionError`.
     """
     if len(data) < 1:
         raise CompressionError("empty payload cannot carry a compression flag")
@@ -103,8 +104,16 @@ def decompress_payload(data: "bytes | memoryview", copy: bool = True) -> "bytes 
     if flag == _FLAG_RAW:
         return bytes(body) if copy else body
     if flag == _FLAG_ZLIB:
+        inflater = zlib.decompressobj()
         try:
-            return zlib.decompress(body)
+            inflated = inflater.decompress(body)
         except zlib.error as exc:
             raise CompressionError(f"corrupt zlib payload: {exc}") from exc
+        if not inflater.eof:
+            raise CompressionError("corrupt zlib payload: truncated stream")
+        if inflater.unused_data:
+            raise CompressionError(
+                f"corrupt zlib payload: {len(inflater.unused_data)} trailing bytes after the stream"
+            )
+        return inflated
     raise CompressionError(f"unknown compression flag byte {flag!r}")

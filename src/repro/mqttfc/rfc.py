@@ -45,6 +45,16 @@ __all__ = [
 #: Root of the MQTTFC topic namespace.
 MQTTFC_ROOT = "mqttfc"
 
+#: ``(wire payload, its inflated body)`` of the last single-chunk zlib frame
+#: any endpoint in this process inflated.  Broker fan-out, retained copies and
+#: bridge forwarding hand every subscriber the *same* immutable ``bytes``
+#: object, so one publish is inflated once, not once per receiver.  Process-
+#: wide on purpose: the receivers of one publish are different endpoints on
+#: different brokers.  The entry keeps its key alive and is matched with
+#: ``is``, so a recycled ``id()`` cannot alias, and it is replaced by one
+#: tuple assignment, so a reader never sees a key paired with another body.
+_last_inflated: "tuple[Optional[bytes], Optional[bytes]]" = (None, None)
+
 
 def call_topic(client_id: str, function: str) -> str:
     """Default topic on which ``client_id`` listens for calls to ``function``."""
@@ -129,6 +139,11 @@ class EndpointStats:
     chunks_sent: int = 0
     chunks_received: int = 0
     errors_returned: int = 0
+    #: zlib-flagged frames this endpoint inflated itself.
+    frames_inflated: int = 0
+    #: Frames whose body another receiver of the same publish had already
+    #: inflated (see ``_last_inflated``).
+    inflates_shared: int = 0
 
 
 class FleetControlEndpoint:
@@ -349,6 +364,7 @@ class FleetControlEndpoint:
 
     def _on_raw_message(self, _client: MQTTClient, message: MQTTMessage) -> None:
         """Chunk-level handler for both request and response topics."""
+        global _last_inflated
         self.stats.chunks_received += 1
         if self.tracer is not None:
             self.tracer.instant(
@@ -357,15 +373,29 @@ class FleetControlEndpoint:
                 args={"endpoint": self.client_id, "bytes": len(message.payload)},
             )
         sender = message.sender_id or "?"
-        complete = self._assembler.add(sender, memoryview(message.payload))
+        wire = message.payload
+        complete = self._assembler.add(sender, memoryview(wire))
         if complete is None:
             return
         # Zero-copy receive: ndarray leaves in the decoded payload are
-        # read-only views into the reassembled frame.  Every downstream
-        # consumer either only reads them (aggregation, re-forwarding) or
-        # copies on install (``ModelController.apply_global`` casts to the
-        # model dtype), so no copy is made here on the hot path.
-        payload = decode_payload(decompress_payload(complete, copy=False), copy_arrays=False)
+        # read-only views into the reassembled frame — or into the inflated
+        # body this receiver shares with the others of the same publish.
+        # Every downstream consumer either only reads them (aggregation,
+        # re-forwarding) or copies on install (``ModelController.apply_global``
+        # casts to the model dtype), so no copy is made here on the hot path.
+        shared_wire, body = _last_inflated
+        if shared_wire is wire:
+            self.stats.inflates_shared += 1
+        else:
+            body = decompress_payload(complete, copy=False)
+            if type(body) is bytes:  # inflated; a raw-flag body is a view
+                self.stats.frames_inflated += 1
+                # Shareable only when the frame is the single-chunk view into
+                # an immutable wire payload: a multi-chunk frame is this
+                # receiver's own gathered buffer.
+                if type(wire) is bytes and complete.obj is wire:
+                    _last_inflated = (wire, body)
+        payload = decode_payload(body, copy_arrays=False)
         if not isinstance(payload, dict) or "kind" not in payload:
             raise RemoteCallError(f"malformed MQTTFC payload on topic {message.topic!r}")
         if payload["kind"] == "request":

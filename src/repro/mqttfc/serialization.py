@@ -158,17 +158,25 @@ def _encode_node(node: Any, buffers: List[memoryview]) -> Any:
     raise SerializationError(f"unsupported type in MQTTFC payload: {type(node).__name__}")
 
 
+def _decode_leaf(node: dict, buffers: List[memoryview], copy_arrays: bool) -> Any:
+    """Decode one ``__nd__`` / ``__bytes__`` marker node of a received header."""
+    try:
+        if "__nd__" not in node:
+            return base64.b64decode(node["__bytes__"])
+        index = node["__nd__"]
+        if type(index) is not int or not 0 <= index < len(buffers):
+            raise ValueError(f"no buffer {index!r} among {len(buffers)}")
+        array = np.frombuffer(buffers[index], dtype=np.dtype(node["dtype"]))
+        array = array.reshape(tuple(node["shape"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"corrupt MQTTFC leaf node: {exc}") from exc
+    return array.copy() if copy_arrays else array
+
+
 def _decode_node(node: Any, buffers: List[memoryview], copy_arrays: bool) -> Any:
     if isinstance(node, dict):
-        if "__nd__" in node:
-            index = node["__nd__"]
-            dtype = np.dtype(node["dtype"])
-            shape = tuple(node["shape"])
-            buffer = buffers[index]
-            array = np.frombuffer(buffer, dtype=dtype).reshape(shape)
-            return array.copy() if copy_arrays else array
-        if "__bytes__" in node:
-            return base64.b64decode(node["__bytes__"])
+        if "__nd__" in node or "__bytes__" in node:
+            return _decode_leaf(node, buffers, copy_arrays)
         return {key: _decode_node(value, buffers, copy_arrays) for key, value in node.items()}
     if isinstance(node, list):
         return [_decode_node(item, buffers, copy_arrays) for item in node]
@@ -228,25 +236,49 @@ def decode_payload(payload: "bytes | bytearray | memoryview | PayloadFrame", cop
     offset += _HEADER_LEN_BYTES
     if offset + header_len > len(view):
         raise SerializationError("truncated MQTTFC header")
+    # Every JSON object passes through the hook, so ``has_leaves`` staying
+    # False proves the parsed header holds no ndarray / bytes leaf (a byte
+    # scan would miss an escaped ``"\u005f_nd__"`` key).
+    has_leaves = False
+
+    def note_marker(node: dict) -> dict:
+        nonlocal has_leaves
+        if "__nd__" in node or "__bytes__" in node:
+            has_leaves = True
+        return node
+
     try:
-        header = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
+        header = json.loads(
+            bytes(view[offset : offset + header_len]).decode("utf-8"), object_hook=note_marker
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"corrupt MQTTFC header: {exc}") from exc
     offset += header_len
 
+    if not isinstance(header, dict) or "structure" not in header:
+        raise SerializationError("MQTTFC header is not an object with a 'structure' entry")
     buffer_lengths = header.get("buffer_lengths", [])
+    if not isinstance(buffer_lengths, list) or any(
+        type(length) is not int or length < 0 for length in buffer_lengths
+    ):
+        raise SerializationError("MQTTFC buffer_lengths is not a list of non-negative integers")
     buffers: List[memoryview] = []
     for length in buffer_lengths:
-        end = offset + int(length)
+        end = offset + length
         if end > len(view):
             raise SerializationError("truncated MQTTFC buffer section")
         buffers.append(view[offset:end])
-        offset += int(length)
+        offset = end
     if offset != len(view):
         raise SerializationError(
             f"trailing bytes in MQTTFC payload ({len(view) - offset} unexpected bytes)"
         )
-    return _decode_node(header["structure"], buffers, copy_arrays)
+    structure = header["structure"]
+    if not has_leaves:
+        # Control messages: ``json.loads`` already built, node for node, the
+        # tree ``_decode_node`` would rebuild.
+        return structure
+    return _decode_node(structure, buffers, copy_arrays)
 
 
 def payload_size(obj: Any) -> int:

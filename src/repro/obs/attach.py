@@ -60,6 +60,8 @@ _ENDPOINT_STATS_FIELDS = (
     "chunks_sent",
     "chunks_received",
     "errors_returned",
+    "frames_inflated",
+    "inflates_shared",
 )
 
 _CODEC_STATS_FIELDS = (

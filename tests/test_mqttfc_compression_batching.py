@@ -51,6 +51,14 @@ class TestCompression:
         with pytest.raises(CompressionError):
             decompress_payload(b"\x01notzlib")
 
+    @pytest.mark.parametrize("damage", [lambda wire: wire + b"junk", lambda wire: wire[:-4]],
+                             ids=["trailing-bytes", "truncated-stream"])
+    def test_zlib_stream_must_span_the_body(self, damage):
+        wire = compress_payload(b"a" * 5000)
+        assert wire[:1] == b"\x01"
+        with pytest.raises(CompressionError):
+            decompress_payload(damage(wire))
+
     def test_empty_buffer_rejected(self):
         with pytest.raises(CompressionError):
             decompress_payload(b"")
@@ -210,6 +218,12 @@ class TestBatchAssembler:
     def test_not_a_chunk_rejected(self):
         with pytest.raises(BatchReassemblyError):
             BatchAssembler().add("s", b"random bytes that are not a chunk")
+
+    def test_non_ascii_batch_id_rejected(self):
+        wire = bytearray(BatchEncoder().split(b"payload")[0].to_bytes())
+        wire[3] = 0xFF  # first byte of the batch id
+        with pytest.raises(BatchReassemblyError):
+            BatchAssembler().add("s", bytes(wire))
 
     def test_discard_partial_batch(self):
         chunks, _ = self._chunks(batch_id="gone")

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.mqtt.bridge import BrokerBridge
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
-from repro.mqttfc.compression import CompressionConfig
+from repro.mqtt.messages import MQTTMessage
+from repro.mqttfc import rfc
+from repro.mqttfc.batching import BatchEncoder
+from repro.mqttfc.compression import CompressionConfig, CompressionError, compress_frame
 from repro.mqttfc.rfc import (
     FleetControlEndpoint,
     PendingCall,
@@ -14,6 +21,7 @@ from repro.mqttfc.rfc import (
     call_topic,
     response_topic,
 )
+from repro.mqttfc.serialization import PayloadFrame, encode_payload_frame
 from repro.runtime.pump import MessagePump
 
 
@@ -238,3 +246,155 @@ class TestCalls:
         call = caller.call("server", "length", "z" * 50_000)
         pump.run_until_idle()
         assert call.result() == 50_000
+
+
+class TestSharedInflate:
+    """One ``zlib`` inflate per publish, shared by identity of the wire bytes."""
+
+    ZLIB_ON = CompressionConfig(enabled=True, min_bytes=16)
+
+    @pytest.fixture(autouse=True)
+    def inflates(self, monkeypatch):
+        """Empty memo for the test; returns the list of inflates it then sees."""
+        monkeypatch.setattr(rfc, "_last_inflated", (None, None))
+        calls, real = [], zlib.decompressobj
+        monkeypatch.setattr(zlib, "decompressobj", lambda: calls.append(1) or real())
+        return calls
+
+    @staticmethod
+    def _state(value=0.0, size=4096):
+        return {"w": np.full(size, value), "b": np.arange(8, dtype=np.float32)}
+
+    @staticmethod
+    def _wire(state, compression=ZLIB_ON):
+        """The wire chunks one ``notify`` of ``state`` publishes."""
+        request = {"kind": "request", "function": "take", "args": [state], "kwargs": {},
+                   "correlation_id": "caller.c0", "reply_to": None, "sender": "caller"}
+        frame = compress_frame(encode_payload_frame(request), compression)
+        return list(BatchEncoder().iter_payloads_frame(frame))
+
+    @staticmethod
+    def _receivers(broker, count):
+        """``count`` endpoints serving ``take`` plus the states each one got."""
+        got, endpoints = [], []
+        for index in range(count):
+            client = MQTTClient(f"receiver{index}")
+            client.connect(broker)
+            endpoint = FleetControlEndpoint(client)
+            endpoint.register("take", got.append, topic="jobs/take")
+            endpoints.append(endpoint)
+        return endpoints, got
+
+    @staticmethod
+    def _deliver(endpoint, payload):
+        endpoint._on_raw_message(
+            endpoint.client, MQTTMessage("jobs/take", payload, sender_id="caller")
+        )
+
+    def test_fanout_inflates_once_and_every_receiver_decodes(self, rig, inflates):
+        make, pump = rig
+        workers = [make(f"worker{i}") for i in range(5)]
+        caller = make("caller", compression=self.ZLIB_ON)
+        got = []
+        for worker in workers:
+            worker.register("take", got.append, topic="jobs/broadcast")
+        sent = self._state(3.5)
+        caller.call_topic("jobs/broadcast", "take", sent, expect_response=False)
+        pump.run_until_idle()
+        assert len(got) == 5 and len(inflates) == 1
+        for state in got:
+            np.testing.assert_array_equal(state["w"], sent["w"])
+            np.testing.assert_array_equal(state["b"], sent["b"])
+            assert not state["w"].flags.writeable and not state["b"].flags.writeable
+        assert len({id(state) for state in got}) == 5  # each receiver owns its tree
+        assert sum(w.stats.frames_inflated for w in workers) == 1
+        assert sum(w.stats.inflates_shared for w in workers) == 4
+
+    def test_equal_content_in_distinct_objects_is_not_shared(self, broker, inflates):
+        (first, second), got = self._receivers(broker, 2)
+        (wire,) = self._wire(self._state(1.0))
+        twin = bytes(bytearray(wire))
+        assert twin == wire and twin is not wire
+        self._deliver(first, wire)
+        self._deliver(second, twin)
+        assert len(inflates) == 2 and second.stats.inflates_shared == 0
+        np.testing.assert_array_equal(got[0]["w"], got[1]["w"])
+
+    def test_a_freed_payload_never_lends_its_body_to_the_next(self, broker):
+        (endpoint,), got = self._receivers(broker, 1)
+        seen_ids = set()
+        for value in range(200):
+            (wire,) = self._wire(self._state(float(value), size=512))
+            seen_ids.add(id(wire))
+            self._deliver(endpoint, wire)
+            assert rfc._last_inflated[0] is wire  # kept alive: its id cannot be reused yet
+            del wire
+            assert got.pop()["w"][0] == value
+        assert len(seen_ids) < 200  # addresses were recycled, bodies were not
+
+    @pytest.mark.parametrize(
+        "compression, wrap",
+        [
+            pytest.param(CompressionConfig(enabled=False), bytes, id="raw-flag"),
+            pytest.param(CompressionConfig(min_bytes=10**6), bytes, id="below-min-bytes"),
+            pytest.param(ZLIB_ON, bytearray, id="bytearray-payload"),
+            pytest.param(ZLIB_ON, memoryview, id="memoryview-payload"),
+        ],
+    )
+    def test_ineligible_payloads_bypass_the_memo(self, broker, compression, wrap):
+        endpoints, got = self._receivers(broker, 2)
+        (wire,) = self._wire(self._state(2.0), compression)
+        payload = wrap(wire)
+        for endpoint in endpoints:
+            self._deliver(endpoint, payload)
+        assert rfc._last_inflated == (None, None)
+        assert [e.stats.inflates_shared for e in endpoints] == [0, 0]
+        for state in got:
+            np.testing.assert_array_equal(state["w"], np.full(4096, 2.0))
+
+    def test_multi_chunk_broadcast_inflates_per_receiver(self, rig, inflates):
+        make, pump = rig
+        workers = [make(f"worker{i}") for i in range(2)]
+        caller = make("caller")
+        got = []
+        for worker in workers:
+            worker.register("take", got.append, topic="jobs/broadcast")
+        noise = np.random.default_rng(0).integers(0, 2**16, size=300_000, dtype=np.int64)
+        caller.call_topic("jobs/broadcast", "take", {"w": noise}, expect_response=False)
+        pump.run_until_idle()
+        assert caller.stats.chunks_sent > 1  # > 256 KiB after deflate
+        assert len(inflates) == 2 and rfc._last_inflated == (None, None)
+        assert [w.stats.frames_inflated for w in workers] == [1, 1]
+        for state in got:
+            np.testing.assert_array_equal(state["w"], noise)
+
+    def test_corrupt_zlib_body_fails_every_receiver(self, broker):
+        endpoints, got = self._receivers(broker, 3)
+        frame = PayloadFrame([b"\x01", b"not a zlib stream"])
+        (wire,) = BatchEncoder().iter_payloads_frame(frame)
+        for endpoint in endpoints:
+            with pytest.raises(CompressionError):
+                self._deliver(endpoint, wire)
+        assert rfc._last_inflated == (None, None) and got == []
+
+    def test_bridged_three_region_broadcast_inflates_once(self, inflates):
+        brokers = [MQTTBroker(f"region-{i}") for i in range(3)]
+        BrokerBridge(brokers[0], brokers[1])
+        BrokerBridge(brokers[0], brokers[2])
+        pump, got, workers = MessagePump(), [], []
+        for index, broker in enumerate(brokers):
+            for copy in range(2):
+                client = MQTTClient(f"worker{index}{copy}")
+                client.connect(broker)
+                endpoint = FleetControlEndpoint(client)
+                endpoint.start()
+                endpoint.register("take", got.append, topic="jobs/broadcast")
+                pump.register(client)
+                workers.append(endpoint)
+        client = MQTTClient("caller")
+        client.connect(brokers[0])
+        caller = FleetControlEndpoint(client, compression=self.ZLIB_ON)
+        caller.call_topic("jobs/broadcast", "take", self._state(7.0), expect_response=False)
+        pump.run_until_idle()
+        assert len(got) == 6 and len(inflates) == 1
+        assert sum(w.stats.inflates_shared for w in workers) == 5

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,58 @@ class TestErrors:
         encoded[10] = 0xFF
         with pytest.raises(SerializationError):
             decode_payload(bytes(encoded))
+
+    @pytest.mark.parametrize(
+        "header, tail",
+        [
+            pytest.param([1, 2], b"", id="header-is-a-list"),
+            pytest.param({"v": 1, "buffer_lengths": []}, b"", id="structure-missing"),
+            pytest.param({"structure": {}, "buffer_lengths": ["x"]}, b"", id="non-integer-length"),
+            pytest.param({"structure": {}, "buffer_lengths": [-1]}, b"", id="negative-length"),
+            pytest.param({"structure": {}, "buffer_lengths": 8}, b"\x00" * 8, id="lengths-not-a-list"),
+            pytest.param(
+                {"structure": {"__nd__": 1, "dtype": "<f8", "shape": [1]}, "buffer_lengths": [8]},
+                b"\x00" * 8,
+                id="leaf-index-past-the-table",
+            ),
+            pytest.param(
+                {"structure": {"__nd__": 0, "dtype": "no-such", "shape": [1]}, "buffer_lengths": [8]},
+                b"\x00" * 8,
+                id="unknown-dtype",
+            ),
+            pytest.param(
+                {"structure": {"__nd__": 0, "dtype": "<f8", "shape": [3]}, "buffer_lengths": [8]},
+                b"\x00" * 8,
+                id="shape-does-not-match-buffer",
+            ),
+            pytest.param({"structure": {"__bytes__": "a"}, "buffer_lengths": []}, b"", id="bad-base64"),
+        ],
+    )
+    def test_malformed_header_raises_the_typed_error(self, header, tail):
+        text = json.dumps(header).encode()
+        frame = b"MQFC" + len(text).to_bytes(4, "little") + text + tail
+        with pytest.raises(SerializationError):
+            decode_payload(frame)
+
+
+class TestMarkerFreeHeaders:
+    """Headers without an ndarray / bytes leaf come back as parsed."""
+
+    def test_control_message_equals_the_sent_structure(self):
+        message = {"kind": "request", "args": [{"n": 1, "xs": [1.5, None, True]}], "kwargs": {}}
+        assert decode_payload(encode_payload(message)) == message
+
+    def test_escaped_marker_key_is_still_decoded(self):
+        # ``json.dumps`` never escapes ``_``; a hostile or foreign encoder may.
+        text = b'{"structure":{"\\u005f_bytes__":"aGk="},"buffer_lengths":[]}'
+        frame = b"MQFC" + len(text).to_bytes(4, "little") + text
+        assert decode_payload(frame) == b"hi"
+
+    def test_each_decode_owns_its_tree(self):
+        encoded = encode_payload({"roster": ["a"]})
+        first, second = decode_payload(encoded), decode_payload(encoded)
+        first["roster"].append("b")
+        assert second == {"roster": ["a"]}
 
 
 class TestPayloadFrame:

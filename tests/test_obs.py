@@ -13,6 +13,7 @@ files, and a traced run's signature equals an untraced run's — and the
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
@@ -25,6 +26,7 @@ import urllib.request
 import pytest
 
 from repro.core.rounds import LifecycleEvent, PhaseTimer, RoundPhase
+from repro.mqttfc import rfc
 from repro.obs import (
     LifecycleTracer,
     MetricsRegistry,
@@ -39,6 +41,7 @@ from repro.scenarios import (
     ResultsStore,
     ScenarioRunner,
     ScenarioSpec,
+    TopologySpec,
     TrainingSpec,
 )
 from repro.scenarios.serve import create_server
@@ -312,6 +315,19 @@ class TestRunnerFlightRecorder:
             second = (tmp_path / "b" / f"obs-base_11.{suffix}").read_bytes()
             assert first == second, f"{suffix} differs between identical runs"
 
+    def test_registry_trace_is_pinned_across_receive_path_changes(self, tmp_path, capsys):
+        """``scenario run degraded-wan --seed 7 --no-store --trace D`` as PR 12
+        wrote it: sharing an inflate must not move one sim-time trace line."""
+        from repro.cli import main
+
+        assert main(["scenario", "run", "degraded-wan", "--seed", "7", "--no-store",
+                     "--trace", str(tmp_path)]) == 0
+        capsys.readouterr()
+        trace = (tmp_path / "degraded-wan_7.trace.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == (
+            "df80c349421a2f2fbf5e6d230e1739560902791c6e0d6a7d8a57665bade9629b"
+        )
+
     def test_trace_contains_delivery_and_round_phase_spans(self, tmp_path):
         ScenarioRunner().run(_tiny_spec(), trace_dir=tmp_path)
         events = load_trace_events(str(tmp_path / "obs-base_11.trace.jsonl"))
@@ -329,6 +345,37 @@ class TestRunnerFlightRecorder:
         # The snapshot survives the store payload round trip.
         payload = json.loads(json.dumps(result.to_payload()))
         assert payload["metrics"] == metrics
+
+    def test_shared_inflate_counters_on_a_control_fleet(self, monkeypatch):
+        """48 clients over 3 bridged regions, no training, clients send raw:
+        every compressed publish is inflated by exactly one of its receivers."""
+        compressed_publishes = []
+        real = rfc.compress_frame
+
+        def counting(frame, config=None):
+            result = real(frame, config)
+            if result.segments[0] == b"\x01":
+                compressed_publishes.append(1)
+            return result
+
+        monkeypatch.setattr(rfc, "compress_frame", counting)
+        spec = ScenarioSpec(
+            name="control-fleet",
+            seed=42,
+            fleet=FleetSpec(num_clients=48),
+            topology=TopologySpec(regions=3, role_policy="static"),
+            training=TrainingSpec(
+                rounds=3, train_for_real=False, compression_enabled=False, round_deadline_s=None
+            ),
+        )
+        first = ScenarioRunner().run(spec).metrics["gauges"]
+        published = len(compressed_publishes)
+        second = ScenarioRunner().run(spec).metrics["gauges"]
+        assert published > 0 and len(compressed_publishes) == 2 * published
+        assert first["endpoint_frames_inflated"] == published
+        assert first["endpoint_inflates_shared"] > 10 * published  # 48-way fan-out
+        for gauge in ("endpoint_frames_inflated", "endpoint_inflates_shared"):
+            assert second[gauge] == first[gauge]
 
     def test_untraced_run_attaches_no_tracer_cost_path(self):
         # The scheduler's tracer/histogram slots stay None-guarded when no
