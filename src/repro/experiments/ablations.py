@@ -29,9 +29,8 @@ from repro.ml.datasets import SyntheticDigitsConfig, synthetic_digits
 from repro.ml.models import ClassifierModel, make_paper_mlp
 from repro.ml.partition import dirichlet_partition
 from repro.ml.state import state_dict_nbytes
+from repro.mqttfc import compression, serialization
 from repro.mqttfc.batching import BatchEncoder
-from repro.mqttfc.compression import CompressionConfig, compress_payload
-from repro.mqttfc.serialization import encode_payload
 from repro.runtime.experiment import ExperimentConfig, FLExperiment
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.timing import Stopwatch
@@ -115,19 +114,23 @@ def run_payload_compression_sweep(
         network = make_mlp(input_dim=784, hidden_dims=(int(width),), num_classes=10, seed=seed)
         state = {k: np.asarray(v, dtype=np.float32) for k, v in network.state_dict().items()}
         raw_bytes = state_dict_nbytes(state)
-        encoded = encode_payload({"state": state, "round_index": 0, "sender": "client_000"})
+        encoded = serialization.encode_payload_frame(
+            {"state": state, "round_index": 0, "sender": "client_000"}
+        )
 
         stopwatch = Stopwatch()
         with stopwatch:
-            compressed = compress_payload(encoded, CompressionConfig(enabled=True, level=6))
-        uncompressed = compress_payload(encoded, CompressionConfig(enabled=False))
+            compressed = compression.compress_frame(encoded).tobytes()
+        uncompressed = compression.compress_frame(
+            encoded, compression.CompressionConfig(enabled=False)
+        ).tobytes()
 
         rows.append(
             {
                 "hidden_width": int(width),
                 "parameters": int(network.num_parameters),
                 "state_bytes": int(raw_bytes),
-                "encoded_bytes": len(encoded),
+                "encoded_bytes": encoded.nbytes,
                 "compressed_bytes": len(compressed),
                 "compression_ratio": len(compressed) / len(uncompressed),
                 "chunks_compressed": len(encoder.split(compressed)),

@@ -14,8 +14,9 @@ This package provides:
 * :mod:`repro.mqttfc.codecs` — pluggable update-compression codecs
   (fp16/int8 quantization, top-k sparsification, exact delta encoding)
   applied to model state dicts before the frame codec;
-* :mod:`repro.mqttfc.compression` — optional zlib compression with a
-  self-describing header;
+* :mod:`repro.mqttfc.compression` — optional zlib compression (byte-plane
+  transpose + entropy-only deflate for tensor frames) behind a
+  self-describing flag byte;
 * :mod:`repro.mqttfc.batching` — chunking of large payloads into fixed-size
   batches and reassembly with integrity checking;
 * :mod:`repro.mqttfc.rfc` — the :class:`FleetControlEndpoint` that registers
@@ -39,7 +40,7 @@ from repro.mqttfc.codecs import (
     make_update_codec,
     parse_codec_spec,
 )
-from repro.mqttfc.compression import compress_payload, decompress_payload, CompressionConfig
+from repro.mqttfc.compression import decompress_payload, CompressionConfig
 from repro.mqttfc.batching import BatchEncoder, BatchAssembler, BatchChunk, BatchReassemblyError
 from repro.mqttfc.rfc import (
     FleetControlEndpoint,
@@ -63,7 +64,6 @@ __all__ = [
     "is_encoded_state",
     "make_update_codec",
     "parse_codec_spec",
-    "compress_payload",
     "decompress_payload",
     "CompressionConfig",
     "BatchEncoder",

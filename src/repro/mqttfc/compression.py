@@ -1,25 +1,43 @@
 """Optional zlib compression for MQTTFC payloads (paper §IV).
 
-Compressed payloads are self-describing: a 1-byte flag (``0`` = raw, ``1`` =
-zlib) followed by the (possibly compressed) body, so the receiver never needs
-out-of-band knowledge of whether compression was enabled on the sender.
-Compression is skipped when the payload is below a configurable threshold or
-when compressing did not actually shrink it (dense float weights often barely
-compress), in which case the raw flag is used — this matches the paper's
-"for larger payloads, a compression mechanism using zlib" wording.
+Compressed payloads are self-describing: a 1-byte flag followed by the body,
+so the receiver never needs out-of-band knowledge of what the sender did.
+
+``\\x00``  raw — the frame as encoded.
+``\\x01``  one zlib stream over the frame as encoded.
+``\\x02``  one zlib stream over the frame with every multi-byte ndarray leaf
+          transposed into byte planes (all first bytes, then all second
+          bytes, … — the HDF5 / Blosc "shuffle" filter).  The receiver undoes
+          the transpose from the inflated frame's own JSON header (``dtype``
+          and ``buffer_lengths``).
+
+LZ77 match search finds nothing in float mantissas; what a float tensor has
+to give sits in its sign/exponent bytes, which the transpose gathers into one
+low-entropy plane.  So a frame that is at least half leaves of 2- to 7-byte
+elements (float32 / float16 updates) is entropy-coded only
+(``Z_HUFFMAN_ONLY``).  Anything else gets plain level 1: JSON topologies and
+uint8-quantised updates, and float64 aggregates, whose low mantissa bytes do
+repeat (:func:`_head_bytes`).  Every plane ends its deflate block, so each
+gets its own Huffman table.  The rule reads nothing but the frame.
+Compression is skipped below a configurable size, and a result that is not
+smaller than the input is discarded for the raw flag — this matches the
+paper's "for larger payloads, a compression mechanism using zlib".
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import List
 
-from repro.mqttfc.serialization import PayloadFrame
-from repro.utils.validation import require_in_range, require_positive
+import numpy as np
+
+from repro.mqttfc.serialization import PayloadFrame, SerializationError, leaf_spans
+from repro.utils.validation import require_positive
 
 __all__ = [
+    "CodedFrame",
     "CompressionConfig",
-    "compress_payload",
     "compress_frame",
     "decompress_payload",
     "CompressionError",
@@ -27,6 +45,7 @@ __all__ = [
 
 _FLAG_RAW = b"\x00"
 _FLAG_ZLIB = b"\x01"
+_FLAG_SHUFFLED = b"\x02"
 
 
 class CompressionError(ValueError):
@@ -41,61 +60,128 @@ class CompressionConfig:
     ----------
     enabled:
         Master switch; when False every payload is sent raw (flag 0).
-    level:
-        zlib compression level, 1 (fastest) … 9 (best).
     min_bytes:
         Payloads smaller than this are never compressed — the zlib header and
         CPU cost outweigh any savings for small coordination messages.
     """
 
     enabled: bool = True
-    level: int = 6
     min_bytes: int = 1024
 
     def __post_init__(self) -> None:
-        require_in_range(self.level, "level", 1, 9)
         require_positive(self.min_bytes, "min_bytes", strict=False)
 
 
-def compress_payload(data: bytes, config: CompressionConfig | None = None) -> bytes:
-    """Wrap ``data`` with the compression flag, compressing if worthwhile."""
-    config = config or CompressionConfig()
-    if not config.enabled or len(data) < config.min_bytes:
-        return _FLAG_RAW + data
-    compressed = zlib.compress(data, config.level)
-    if len(compressed) >= len(data):
-        return _FLAG_RAW + data
-    return _FLAG_ZLIB + compressed
+class CodedFrame(PayloadFrame):
+    """A wire frame plus how :func:`compress_frame` arrived at it.
+
+    ``coding`` is ``"raw"`` (compression not attempted), ``"huffman"`` or
+    ``"level1"`` (the deflate that was kept) or ``"discarded"`` (a deflate
+    that did not shrink the frame, sent raw).
+    """
+
+    __slots__ = ("coding",)
+
+    def __init__(self, segments: List[object], coding: str) -> None:
+        super().__init__(segments)
+        self.coding = coding
 
 
-def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None) -> PayloadFrame:
-    """Frame-preserving :func:`compress_payload`.
+def _head_bytes(itemsize: int) -> int:
+    """Leading bytes of each element that stay together as one plane.
+
+    None, except that an 8-byte element keeps its first three bytes adjacent:
+    in a float64 computed from float32 inputs (every aggregate on this wire)
+    they are a rounding residue that repeats as a *triple* across elements,
+    which LZ77 can match only while the three stay next to each other.
+    """
+    return 3 if itemsize == 8 else 0
+
+
+def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None) -> CodedFrame:
+    """Wrap ``frame`` with the compression flag, compressing if worthwhile.
+
+    ``frame`` must come from :func:`~repro.mqttfc.serialization.encode_payload_frame`:
+    its ``memoryview`` segments are the ndarray leaves its header describes,
+    and their itemsize is read from the array each one aliases.
 
     When compression is skipped (disabled, below the threshold, or not
     worthwhile) the result is the input frame with the raw flag *prepended as
     a segment* — the model-parameter segments keep aliasing their source
-    arrays and nothing is copied.  Only a successful compression materializes
-    the frame (zlib needs the contiguous stream anyway) and returns a
-    two-segment ``flag + compressed`` frame.  The wire bytes are identical to
-    ``compress_payload(frame.tobytes(), config)``.
+    arrays and nothing is copied.  Only a kept compression materializes
+    anything and returns a two-segment ``flag + compressed`` frame.
     """
     config = config or CompressionConfig()
     if not config.enabled or frame.nbytes < config.min_bytes:
-        return PayloadFrame([_FLAG_RAW, *frame.segments])
-    data = frame.tobytes()
-    compressed = zlib.compress(data, config.level)
-    if len(compressed) >= len(data):
-        return PayloadFrame([_FLAG_RAW, *frame.segments])
-    return PayloadFrame([_FLAG_ZLIB, compressed])
+        return CodedFrame([_FLAG_RAW, *frame.segments], "raw")
+    parts: List[object] = []
+    shuffled, narrow = False, 0
+    for segment in frame.segments:
+        leaf = segment.obj if isinstance(segment, memoryview) else None
+        if not isinstance(leaf, np.ndarray) or leaf.itemsize == 1 or not segment.nbytes:
+            parts.append(segment)
+            continue
+        shuffled = True
+        if leaf.itemsize < 8:
+            narrow += segment.nbytes
+        items = np.frombuffer(segment, np.uint8).reshape(-1, leaf.itemsize)
+        head = _head_bytes(leaf.itemsize)
+        if head:
+            parts.append(np.ascontiguousarray(items[:, :head]))
+        parts.extend(np.ascontiguousarray(items[:, head:].T))  # one row per byte plane
+    huffman = 2 * narrow >= frame.nbytes
+    deflater = zlib.compressobj(
+        1,
+        zlib.DEFLATED,
+        zlib.MAX_WBITS,
+        zlib.DEF_MEM_LEVEL,
+        zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY,
+    )
+    pieces = []
+    for part in parts:
+        pieces.append(deflater.compress(part))
+        pieces.append(deflater.flush(zlib.Z_BLOCK))  # a Huffman table per plane
+    pieces.append(deflater.flush())
+    compressed = b"".join(pieces)
+    if len(compressed) >= frame.nbytes:
+        return CodedFrame([_FLAG_RAW, *frame.segments], "discarded")
+    return CodedFrame(
+        [_FLAG_SHUFFLED if shuffled else _FLAG_ZLIB, compressed],
+        "huffman" if huffman else "level1",
+    )
+
+
+def _unshuffle(body: bytes) -> bytes:
+    """Put the leaves of an inflated flag-``\\x02`` body back in element order."""
+    try:
+        spans = leaf_spans(body)
+    except SerializationError as exc:
+        raise CompressionError(f"corrupt byte-plane payload: {exc}") from exc
+    planes = np.frombuffer(body, np.uint8)
+    frame = planes.copy()
+    for start, stop, itemsize in spans:
+        if itemsize == 1 or start == stop:
+            continue
+        items = frame[start:stop].reshape(-1, itemsize)
+        head = _head_bytes(itemsize)
+        if head:
+            split = start + len(items) * head
+            items[:, :head] = planes[start:split].reshape(-1, head)
+            start = split
+        items[:, head:] = planes[start:stop].reshape(itemsize - head, -1).T
+    return frame.tobytes()
 
 
 def decompress_payload(data: "bytes | memoryview", copy: bool = True) -> "bytes | memoryview":
-    """Undo :func:`compress_payload`.
+    """Undo :func:`compress_frame` on the contiguous wire bytes.
 
     With ``copy=False`` an uncompressed body comes back as a ``memoryview``
     aliasing ``data`` (no copy); compressed bodies always inflate into fresh
-    bytes.  The zlib stream must span the whole body: a truncated stream or
-    bytes after its end raise :class:`CompressionError`.
+    bytes — for flag ``\\x02`` the frame with its leaves back in element
+    order, so views decoded from it alias what every receiver of the publish
+    can share.  The zlib stream must span the whole body: a truncated stream
+    or bytes after its end raise :class:`CompressionError`, as does a byte-
+    plane body whose header does not describe it.
     """
     if len(data) < 1:
         raise CompressionError("empty payload cannot carry a compression flag")
@@ -103,17 +189,17 @@ def decompress_payload(data: "bytes | memoryview", copy: bool = True) -> "bytes 
     flag, body = bytes(view[:1]), view[1:]
     if flag == _FLAG_RAW:
         return bytes(body) if copy else body
-    if flag == _FLAG_ZLIB:
-        inflater = zlib.decompressobj()
-        try:
-            inflated = inflater.decompress(body)
-        except zlib.error as exc:
-            raise CompressionError(f"corrupt zlib payload: {exc}") from exc
-        if not inflater.eof:
-            raise CompressionError("corrupt zlib payload: truncated stream")
-        if inflater.unused_data:
-            raise CompressionError(
-                f"corrupt zlib payload: {len(inflater.unused_data)} trailing bytes after the stream"
-            )
-        return inflated
-    raise CompressionError(f"unknown compression flag byte {flag!r}")
+    if flag not in (_FLAG_ZLIB, _FLAG_SHUFFLED):
+        raise CompressionError(f"unknown compression flag byte {flag!r}")
+    inflater = zlib.decompressobj()
+    try:
+        inflated = inflater.decompress(body)
+    except zlib.error as exc:
+        raise CompressionError(f"corrupt zlib payload: {exc}") from exc
+    if not inflater.eof:
+        raise CompressionError("corrupt zlib payload: truncated stream")
+    if inflater.unused_data:
+        raise CompressionError(
+            f"corrupt zlib payload: {len(inflater.unused_data)} trailing bytes after the stream"
+        )
+    return inflated if flag == _FLAG_ZLIB else _unshuffle(inflated)

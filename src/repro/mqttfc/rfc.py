@@ -14,7 +14,8 @@ and exposes two primitives:
   endpoint's response topic, correlated by a unique id.
 
 Requests and responses are encoded with the MQTTFC payload codec
-(:mod:`repro.mqttfc.serialization`), optionally zlib-compressed, then split
+(:mod:`repro.mqttfc.serialization`), optionally zlib-compressed
+(:mod:`repro.mqttfc.compression`), then split
 into chunks (:mod:`repro.mqttfc.batching`) so that arbitrarily large model
 state dicts fit under the broker's packet size limit.
 """
@@ -48,11 +49,12 @@ MQTTFC_ROOT = "mqttfc"
 #: ``(wire payload, its inflated body)`` of the last single-chunk zlib frame
 #: any endpoint in this process inflated.  Broker fan-out, retained copies and
 #: bridge forwarding hand every subscriber the *same* immutable ``bytes``
-#: object, so one publish is inflated once, not once per receiver.  Process-
-#: wide on purpose: the receivers of one publish are different endpoints on
-#: different brokers.  The entry keeps its key alive and is matched with
-#: ``is``, so a recycled ``id()`` cannot alias, and it is replaced by one
-#: tuple assignment, so a reader never sees a key paired with another body.
+#: object, so one publish is inflated (and its byte planes put back in
+#: element order) once, not once per receiver.  Process-wide on purpose: the
+#: receivers of one publish are different endpoints on different brokers.
+#: The entry keeps its key alive and is matched with ``is``, so a recycled
+#: ``id()`` cannot alias, and it is replaced by one tuple assignment, so a
+#: reader never sees a key paired with another body.
 _last_inflated: "tuple[Optional[bytes], Optional[bytes]]" = (None, None)
 
 
@@ -139,6 +141,13 @@ class EndpointStats:
     chunks_sent: int = 0
     chunks_received: int = 0
     errors_returned: int = 0
+    #: Logical payloads by what ``compress_frame`` did with them: sent raw
+    #: without trying (disabled / below ``min_bytes``), kept an entropy-only
+    #: or a level-1 deflate, or deflated and threw the result away.
+    frames_sent_raw: int = 0
+    frames_sent_huffman: int = 0
+    frames_sent_level1: int = 0
+    frames_deflate_discarded: int = 0
     #: zlib-flagged frames this endpoint inflated itself.
     frames_inflated: int = 0
     #: Frames whose body another receiver of the same publish had already
@@ -348,6 +357,15 @@ class FleetControlEndpoint:
         copied exactly once, into the published chunks.
         """
         frame = compress_frame(encode_payload_frame(payload_obj), self.compression)
+        stats = self.stats
+        if frame.coding == "raw":
+            stats.frames_sent_raw += 1
+        elif frame.coding == "huffman":
+            stats.frames_sent_huffman += 1
+        elif frame.coding == "level1":
+            stats.frames_sent_level1 += 1
+        else:
+            stats.frames_deflate_discarded += 1
         total = 0
         tracer = self.tracer
         for chunk_bytes in self._encoder.iter_payloads_frame(frame):

@@ -48,6 +48,7 @@ __all__ = [
     "encode_payload",
     "encode_payload_frame",
     "decode_payload",
+    "leaf_spans",
     "payload_size",
     "SerializationError",
 ]
@@ -212,21 +213,13 @@ def encode_payload(obj: Any) -> bytes:
     return encode_payload_frame(obj).tobytes()
 
 
-def decode_payload(payload: "bytes | bytearray | memoryview | PayloadFrame", copy_arrays: bool = True) -> Any:
-    """Decode a payload produced by :func:`encode_payload` (or a frame).
+def _parse_frame(view: memoryview) -> "tuple[dict, List[dict], List[tuple[int, int]]]":
+    """Validate a contiguous frame and split it without touching the buffers.
 
-    Parameters
-    ----------
-    payload:
-        The raw bytes (any buffer-protocol object) or a :class:`PayloadFrame`.
-    copy_arrays:
-        When True (default) ndarray leaves own their memory; when False they
-        are read-only views into ``payload`` (zero-copy, useful for the
-        aggregation hot path where the arrays are immediately reduced).
+    Returns the parsed JSON header, its ``__nd__`` / ``__bytes__`` marker
+    nodes, and one ``(start, stop)`` byte span per entry of
+    ``buffer_lengths``; the spans tile the rest of the frame exactly.
     """
-    if isinstance(payload, PayloadFrame):
-        payload = payload.tobytes()
-    view = memoryview(payload)
     if len(view) < len(MAGIC) + _HEADER_LEN_BYTES:
         raise SerializationError("payload too short to be an MQTTFC payload")
     if bytes(view[: len(MAGIC)]) != MAGIC:
@@ -236,15 +229,14 @@ def decode_payload(payload: "bytes | bytearray | memoryview | PayloadFrame", cop
     offset += _HEADER_LEN_BYTES
     if offset + header_len > len(view):
         raise SerializationError("truncated MQTTFC header")
-    # Every JSON object passes through the hook, so ``has_leaves`` staying
-    # False proves the parsed header holds no ndarray / bytes leaf (a byte
-    # scan would miss an escaped ``"\u005f_nd__"`` key).
-    has_leaves = False
+    # Every JSON object passes through the hook, so ``markers`` staying empty
+    # proves the parsed header holds no ndarray / bytes leaf (a byte scan
+    # would miss an escaped ``"\u005f_nd__"`` key).
+    markers: List[dict] = []
 
     def note_marker(node: dict) -> dict:
-        nonlocal has_leaves
         if "__nd__" in node or "__bytes__" in node:
-            has_leaves = True
+            markers.append(node)
         return node
 
     try:
@@ -262,23 +254,75 @@ def decode_payload(payload: "bytes | bytearray | memoryview | PayloadFrame", cop
         type(length) is not int or length < 0 for length in buffer_lengths
     ):
         raise SerializationError("MQTTFC buffer_lengths is not a list of non-negative integers")
-    buffers: List[memoryview] = []
+    spans: List[tuple[int, int]] = []
     for length in buffer_lengths:
         end = offset + length
         if end > len(view):
             raise SerializationError("truncated MQTTFC buffer section")
-        buffers.append(view[offset:end])
+        spans.append((offset, end))
         offset = end
     if offset != len(view):
         raise SerializationError(
             f"trailing bytes in MQTTFC payload ({len(view) - offset} unexpected bytes)"
         )
+    return header, markers, spans
+
+
+def decode_payload(payload: "bytes | bytearray | memoryview | PayloadFrame", copy_arrays: bool = True) -> Any:
+    """Decode a payload produced by :func:`encode_payload` (or a frame).
+
+    Parameters
+    ----------
+    payload:
+        The raw bytes (any buffer-protocol object) or a :class:`PayloadFrame`.
+    copy_arrays:
+        When True (default) ndarray leaves own their memory; when False they
+        are read-only views into ``payload`` (zero-copy, useful for the
+        aggregation hot path where the arrays are immediately reduced).
+    """
+    if isinstance(payload, PayloadFrame):
+        payload = payload.tobytes()
+    view = memoryview(payload)
+    header, markers, spans = _parse_frame(view)
     structure = header["structure"]
-    if not has_leaves:
+    if not markers:
         # Control messages: ``json.loads`` already built, node for node, the
         # tree ``_decode_node`` would rebuild.
         return structure
-    return _decode_node(structure, buffers, copy_arrays)
+    return _decode_node(structure, [view[start:stop] for start, stop in spans], copy_arrays)
+
+
+def leaf_spans(payload: "bytes | bytearray | memoryview") -> "List[tuple[int, int, int]]":
+    """``(start, stop, itemsize)`` of every buffer of a contiguous frame.
+
+    The itemsize is that of the ``dtype`` the header's ``__nd__`` node gives
+    the buffer (1 for a buffer no node names).  This is what the compression
+    layer needs to undo its per-leaf byte transpose from the frame alone; a
+    header whose nodes disagree about a buffer, name a dtype numpy rejects or
+    one whose itemsize does not divide a non-empty buffer raises
+    :class:`SerializationError`.
+    """
+    _header, markers, spans = _parse_frame(memoryview(payload))
+    itemsizes: List[int] = [0] * len(spans)
+    for node in markers:
+        if "__nd__" not in node:
+            continue
+        index = node["__nd__"]
+        try:
+            if type(index) is not int or not 0 <= index < len(spans):
+                raise ValueError(f"no buffer {index!r} among {len(spans)}")
+            itemsize = np.dtype(node["dtype"]).itemsize
+            length = spans[index][1] - spans[index][0]
+            if length and (itemsize < 1 or length % itemsize):
+                raise ValueError(
+                    f"itemsize {itemsize} does not divide the {length}-byte buffer {index}"
+                )
+            if itemsizes[index] not in (0, itemsize):
+                raise ValueError(f"leaf nodes disagree about buffer {index}'s dtype")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(f"corrupt MQTTFC leaf node: {exc}") from exc
+        itemsizes[index] = itemsize
+    return [(start, stop, itemsize or 1) for (start, stop), itemsize in zip(spans, itemsizes)]
 
 
 def payload_size(obj: Any) -> int:

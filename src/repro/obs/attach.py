@@ -60,6 +60,10 @@ _ENDPOINT_STATS_FIELDS = (
     "chunks_sent",
     "chunks_received",
     "errors_returned",
+    "frames_sent_raw",
+    "frames_sent_huffman",
+    "frames_sent_level1",
+    "frames_deflate_discarded",
     "frames_inflated",
     "inflates_shared",
 )

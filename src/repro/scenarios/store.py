@@ -56,6 +56,13 @@ __all__ = [
 #: by a different schema rather than guessing at migrations.
 SCHEMA_VERSION = 1
 
+#: Folded into every :func:`spec_hash` / :func:`sweep_hash`.  Bump in any
+#: change that moves run signatures for unchanged specs (a wire-format or
+#: numerics revision): rows written before it then miss once and age out
+#: through ``store gc`` instead of serving the previous revision's results.
+#: 2 — PR 14, byte-plane compression changed wire sizes and sim-time delays.
+RESULTS_REVISION = 2
+
 #: Environment variable naming the default database location.
 STORE_ENV_VAR = "REPRO_STORE"
 
@@ -84,21 +91,26 @@ def canonical_json(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _content_hash(tree: object) -> str:
+    document = f"r{RESULTS_REVISION}:{canonical_json(tree)}"
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
 def spec_hash(spec: Union[ScenarioSpec, Mapping[str, object]]) -> str:
-    """Content address of a scenario: SHA-256 over the canonical spec JSON.
+    """Content address of a scenario: SHA-256 over :data:`RESULTS_REVISION`
+    and the canonical spec JSON.
 
     Accepts a :class:`ScenarioSpec` or its ``as_dict`` form.  The hash covers
     the *entire* spec (including the seed), so the ``(spec_hash, seed)``
     store key is redundant but self-describing: the seed column is what
     ``store ls`` and the serve API group by.
     """
-    tree = spec.as_dict() if isinstance(spec, ScenarioSpec) else dict(spec)
-    return hashlib.sha256(canonical_json(tree).encode("utf-8")).hexdigest()
+    return _content_hash(spec.as_dict() if isinstance(spec, ScenarioSpec) else dict(spec))
 
 
 def sweep_hash(sweep) -> str:
-    """Content address of a parameter grid: SHA-256 over its canonical JSON."""
-    return hashlib.sha256(canonical_json(sweep.as_dict()).encode("utf-8")).hexdigest()
+    """Content address of a parameter grid, formed like :func:`spec_hash`."""
+    return _content_hash(sweep.as_dict())
 
 
 @dataclass(frozen=True)

@@ -2,76 +2,331 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mqttfc.batching import BatchAssembler, BatchChunk, BatchEncoder, BatchReassemblyError
+from repro.mqttfc.codecs import make_update_codec
 from repro.mqttfc.compression import (
     CompressionConfig,
     CompressionError,
-    compress_payload,
+    compress_frame,
     decompress_payload,
 )
+from repro.mqttfc.serialization import (
+    MAGIC,
+    SerializationError,
+    decode_payload,
+    encode_payload,
+    encode_payload_frame,
+)
+
+EAGER = CompressionConfig(enabled=True, min_bytes=1)
+
+
+def wire_of(obj, config=None) -> bytes:
+    """What the transport would chunk: flag byte + (possibly deflated) frame."""
+    return compress_frame(encode_payload_frame(obj), config).tobytes()
+
+
+def assert_same_tree(got, sent):
+    """Bit-for-bit equality of two payload trees (NaN payloads included)."""
+    if isinstance(sent, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == sent.dtype and got.shape == sent.shape
+        assert got.tobytes() == np.ascontiguousarray(sent).tobytes()
+    elif isinstance(sent, dict):
+        assert isinstance(got, dict) and got.keys() == sent.keys()
+        for key in sent:
+            assert_same_tree(got[key], sent[key])
+    elif isinstance(sent, (list, tuple)):
+        assert len(got) == len(sent)
+        for got_item, sent_item in zip(got, sent):
+            assert_same_tree(got_item, sent_item)
+    else:
+        assert got == sent
 
 
 class TestCompression:
     def test_roundtrip_compressible(self):
-        data = b"abc" * 10_000
-        wrapped = compress_payload(data, CompressionConfig(enabled=True))
-        assert len(wrapped) < len(data)
-        assert decompress_payload(wrapped) == data
+        obj = {"text": "abc" * 10_000}
+        wrapped = wire_of(obj, CompressionConfig(enabled=True))
+        assert wrapped[:1] == b"\x01"
+        assert len(wrapped) < len(encode_payload(obj))
+        assert decompress_payload(wrapped) == encode_payload(obj)
 
     def test_small_payload_not_compressed(self):
-        data = b"tiny"
-        wrapped = compress_payload(data, CompressionConfig(enabled=True, min_bytes=1024))
+        wrapped = wire_of("tiny", CompressionConfig(enabled=True, min_bytes=1024))
         assert wrapped[0:1] == b"\x00"
-        assert decompress_payload(wrapped) == data
+        assert decompress_payload(wrapped) == encode_payload("tiny")
 
     def test_disabled_compression(self):
-        data = b"abc" * 10_000
-        wrapped = compress_payload(data, CompressionConfig(enabled=False))
+        obj = {"text": "abc" * 10_000}
+        wrapped = wire_of(obj, CompressionConfig(enabled=False))
         assert wrapped[0:1] == b"\x00"
-        assert len(wrapped) == len(data) + 1
+        assert len(wrapped) == len(encode_payload(obj)) + 1
 
     def test_incompressible_payload_falls_back_to_raw(self):
-        data = np.random.default_rng(0).bytes(20_000)
-        wrapped = compress_payload(data, CompressionConfig(enabled=True))
-        assert decompress_payload(wrapped) == data
-        assert len(wrapped) <= len(data) + 1
+        for dtype in (np.uint8, np.uint16, np.float32, np.uint64):
+            noise = np.frombuffer(np.random.default_rng(0).bytes(200_000), dtype=dtype)
+            frame = compress_frame(encode_payload_frame({"noise": noise}), CompressionConfig())
+            assert frame.coding == "discarded"
+            wrapped = frame.tobytes()
+            assert wrapped[:1] == b"\x00"
+            assert len(wrapped) == len(encode_payload({"noise": noise})) + 1
+            assert decompress_payload(wrapped) == encode_payload({"noise": noise})
 
     def test_empty_payload_roundtrip(self):
-        assert decompress_payload(compress_payload(b"")) == b""
+        assert decompress_payload(b"\x00") == b""
+        assert decode_payload(decompress_payload(wire_of(None, EAGER))) is None
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(CompressionError):
             decompress_payload(b"\x07abc")
 
     def test_corrupt_zlib_body_rejected(self):
-        with pytest.raises(CompressionError):
-            decompress_payload(b"\x01notzlib")
+        for flag in (b"\x01", b"\x02"):
+            with pytest.raises(CompressionError):
+                decompress_payload(flag + b"notzlib")
 
     @pytest.mark.parametrize("damage", [lambda wire: wire + b"junk", lambda wire: wire[:-4]],
                              ids=["trailing-bytes", "truncated-stream"])
     def test_zlib_stream_must_span_the_body(self, damage):
-        wire = compress_payload(b"a" * 5000)
-        assert wire[:1] == b"\x01"
-        with pytest.raises(CompressionError):
-            decompress_payload(damage(wire))
+        for obj, flag in (({"text": "a" * 5000}, b"\x01"), ({"w": np.ones(2000, np.float32)}, b"\x02")):
+            wire = wire_of(obj)
+            assert wire[:1] == flag
+            with pytest.raises(CompressionError):
+                decompress_payload(damage(wire))
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(CompressionError):
             decompress_payload(b"")
 
-    def test_invalid_level_rejected(self):
+    def test_config_is_two_fields(self):
+        assert set(CompressionConfig.__dataclass_fields__) == {"enabled", "min_bytes"}
         with pytest.raises(ValueError):
-            CompressionConfig(level=0)
+            CompressionConfig(min_bytes=-1)
 
-    @given(st.binary(max_size=5000), st.integers(min_value=1, max_value=9))
+    @given(st.binary(max_size=5000))
     @settings(max_examples=30, deadline=None)
-    def test_roundtrip_property(self, data, level):
-        wrapped = compress_payload(data, CompressionConfig(enabled=True, level=level, min_bytes=1))
-        assert decompress_payload(wrapped) == data
+    def test_roundtrip_property(self, data):
+        obj = {"blob": data, "note": "x" * len(data)}
+        wrapped = wire_of(obj, EAGER)
+        assert decompress_payload(wrapped) == encode_payload(obj)
+        assert decode_payload(decompress_payload(wrapped, copy=False)) == obj
+
+
+DTYPES = ("<f2", "<f4", "<f8", "<i4", "<i8", "|u1", "|b1", ">f4", "<c16")
+
+
+@st.composite
+def leaves(draw):
+    """An ndarray whose bytes are arbitrary: any NaN payload, ±inf, −0.0, denormals."""
+    dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+    shape = draw(st.sampled_from([(), (0,), (1,), (7,), (3, 5), (2, 0, 3), (64,), (33, 3)]))
+    count = int(np.prod(shape, dtype=int))
+    fill = draw(st.sampled_from(["noise", "smooth", "special"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype.kind == "b":
+        array = rng.integers(0, 2, count).astype(dtype)
+    elif fill == "noise" or dtype.kind == "c":
+        array = np.frombuffer(rng.bytes(count * dtype.itemsize), dtype=dtype)
+    elif fill == "smooth":
+        array = (rng.standard_normal(count) * 0.05).astype(dtype)
+    else:
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 5e-324])
+        with np.errstate(invalid="ignore", over="ignore"):
+            array = specials[rng.integers(0, len(specials), count)].astype(dtype)
+    array = array.reshape(shape)
+    if draw(st.booleans()) and array.ndim:
+        # A non-contiguous view of the same values: the encoder must compact it.
+        doubled = np.repeat(array, 2, axis=-1)
+        array = doubled[..., ::2]
+        assert not array.flags.c_contiguous or array.size <= 1
+    return array
+
+
+payload_trees = st.recursive(
+    st.one_of(leaves(), st.text(max_size=20), st.integers(-10, 10), st.none(), st.binary(max_size=40)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text("abcdefgh", min_size=1, max_size=6), children, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+class TestBytePlanes:
+    """shuffle → deflate → inflate → un-shuffle → decode is the identity."""
+
+    @given(payload_trees)
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_property(self, tree):
+        frame = encode_payload_frame(tree)
+        coded = compress_frame(frame, EAGER)
+        wire = coded.tobytes()
+        assert coded.coding in ("huffman", "level1", "discarded")
+        assert (wire[:1] == b"\x00") == (coded.coding == "discarded")
+        body = decompress_payload(wire, copy=False)
+        assert bytes(body) == frame.tobytes()
+        # The reference is the uncompressed path (it turns tuples into lists
+        # and 0-d arrays into shape ``(1,)``).
+        assert_same_tree(decode_payload(body, copy_arrays=False), decode_payload(frame.tobytes()))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_every_dtype_takes_the_plane_path_and_decodes_to_views(self, dtype):
+        dtype = np.dtype(dtype)
+        sent = (np.arange(3000) % 251).astype(dtype)
+        tree = {"w": sent, "odd": sent[:7], "empty": sent[:0], "scalar": sent[3:4].reshape(())}
+        wire = wire_of(tree)
+        assert wire[:1] == (b"\x01" if dtype.itemsize == 1 else b"\x02")
+        body = decompress_payload(wire, copy=False)
+        assert type(body) is bytes
+        got = decode_payload(body, copy_arrays=False)
+        assert_same_tree(got, decode_payload(encode_payload(tree)))
+        assert_same_tree(got["w"], sent)
+        assert not got["w"].flags.writeable and not got["w"].flags.owndata
+
+    def test_float_bit_patterns_survive(self):
+        bits = np.array([0x7FC00001, 0xFFC00000, 0x7F800000, 0xFF800000, 0x80000000, 0x00000001],
+                        dtype=np.uint32)
+        sent = {"f32": np.tile(bits.view(np.float32), 300),
+                "f64": np.tile(np.array([np.nan, -0.0, np.inf, -np.inf, 5e-324]), 300)}
+        got = decode_payload(decompress_payload(wire_of(sent)))
+        assert_same_tree(got, sent)
+        assert np.signbit(got["f64"][1]) and got["f32"].view(np.uint32)[0] == 0x7FC00001
+
+    def test_frames_without_ndarray_leaves_stay_plain_zlib(self):
+        topology = {"nodes": [{"id": f"client_{i:03d}", "parent": "client_000"} for i in range(200)]}
+        frame = compress_frame(encode_payload_frame(topology))
+        assert frame.coding == "level1" and frame.tobytes()[:1] == b"\x01"
+        assert decode_payload(decompress_payload(frame.tobytes())) == topology
+
+    def test_strategy_follows_what_the_frame_contains(self):
+        rng = np.random.default_rng(5)
+        update = (rng.standard_normal(8000) * 0.05).astype(np.float32)
+        aggregate = update.astype(np.float64) / 3
+        quantised = rng.integers(0, 255, 8000).astype(np.uint8)
+        coding = lambda obj: compress_frame(encode_payload_frame(obj)).coding
+        assert coding({"w": update}) == "huffman"
+        assert coding({"w": update.astype(np.float16)}) == "huffman"
+        assert coding({"w": aggregate}) == "level1"
+        assert coding({"w": quantised, "scale": np.float32(0.1)}) == "level1"
+        assert coding({"w": update, "pad": np.zeros(40_000, np.uint8)}) == "level1"
+
+    def test_float_updates_ship_fewer_bytes_than_level_6(self):
+        rng = np.random.default_rng(11)
+        state = {"w": (rng.standard_normal((784, 22)) * 0.05).astype(np.float32),
+                 "b": np.zeros(22, np.float32)}
+        assert len(wire_of(state)) < len(zlib.compress(encode_payload(state), 6))
+
+    @pytest.mark.parametrize(
+        "stages", [c for n in range(5) for c in itertools.combinations(("delta", "topk=0.5", "fp16", "int8"), n)],
+        ids=lambda stages: "+".join(stages) or "none",
+    )
+    def test_every_update_codec_composition(self, stages):
+        rng = np.random.default_rng(1212)
+        state = {"dense.weight": rng.standard_normal((64, 40)).astype(np.float32),
+                 "dense.bias": rng.standard_normal(41).astype(np.float64),
+                 "head.scale": rng.standard_normal(5).astype(np.float16)}
+        spec = "+".join(stages) or None
+        encoder, decoder = make_update_codec(spec), make_update_codec(spec)
+        sent = state
+        if encoder is not None:
+            encoder.observe_global("s", state, 0)
+            decoder.observe_global("s", state, 0)
+            sent = encoder.encode_state("s", {k: v + v.dtype.type(0.01) for k, v in state.items()})
+        expected = decode_payload(encode_payload({"state": sent}))
+        body = decompress_payload(wire_of({"state": sent}, EAGER), copy=False)
+        received = decode_payload(body, copy_arrays=False)
+        assert_same_tree(received, expected)
+        if decoder is not None:
+            reference = make_update_codec(spec)
+            reference.observe_global("s", state, 0)
+            want = reference.decode_state("s", expected["state"])
+            got = decoder.decode_state("s", received["state"])
+            assert_same_tree(got, want)
+
+
+def planes_wire(header: dict, buffers: bytes, flag: bytes = b"\x02") -> bytes:
+    """A flag-``\\x02`` wire whose inflated body is exactly ``header`` + ``buffers``."""
+    document = json.dumps(header, separators=(",", ":")).encode()
+    return flag + zlib.compress(MAGIC + len(document).to_bytes(4, "little") + document + buffers)
+
+
+def nd(index, dtype, count):
+    return {"__nd__": index, "dtype": dtype, "shape": [count], "nbytes": 0}
+
+
+class TestHostileBytePlaneBodies:
+    """A flag-``\\x02`` body is parsed before any receiver trusts it."""
+
+    @pytest.mark.parametrize(
+        "header, buffers",
+        [
+            pytest.param({"v": 1, "structure": nd(0, "<f4", 3), "buffer_lengths": [12]},
+                         bytes(8), id="body-shorter-than-lengths"),
+            pytest.param({"v": 1, "structure": nd(0, "<f4", 3), "buffer_lengths": [12]},
+                         bytes(16), id="body-longer-than-lengths"),
+            pytest.param({"v": 1, "structure": nd(0, "<f8", 1), "buffer_lengths": [12]},
+                         bytes(12), id="itemsize-does-not-divide-leaf"),
+            pytest.param({"v": 1, "structure": [nd(0, "<f4", 3), nd(0, "<f8", 3)], "buffer_lengths": [24]},
+                         bytes(24), id="nodes-disagree-on-dtype"),
+            pytest.param({"v": 1, "structure": nd(3, "<f4", 3), "buffer_lengths": [12]},
+                         bytes(12), id="node-names-no-buffer"),
+            pytest.param({"v": 1, "structure": nd(0, "float33", 3), "buffer_lengths": [12]},
+                         bytes(12), id="unknown-dtype"),
+            pytest.param({"v": 1, "structure": nd(0, None, 3), "buffer_lengths": [12]},
+                         bytes(12), id="dtype-not-a-string"),
+            pytest.param({"v": 1, "structure": {"__nd__": 0}, "buffer_lengths": [12]},
+                         bytes(12), id="node-without-dtype"),
+            pytest.param({"v": 1, "structure": nd(0, "<f4", 3), "buffer_lengths": [-12]},
+                         bytes(12), id="negative-length"),
+            pytest.param({"v": 1, "structure": nd(0, "<f4", 3), "buffer_lengths": "12"},
+                         bytes(12), id="lengths-not-a-list"),
+            pytest.param({"v": 1, "buffer_lengths": [12]}, bytes(12), id="no-structure"),
+        ],
+    )
+    def test_header_that_does_not_describe_the_body_raises(self, header, buffers):
+        with pytest.raises(CompressionError):
+            decompress_payload(planes_wire(header, buffers), copy=False)
+
+    def test_body_that_is_not_a_frame_raises(self):
+        for body in (b"", b"MQF", b"XXXX" + bytes(20), MAGIC + (99).to_bytes(4, "little") + b"{}",
+                     MAGIC + (2).to_bytes(4, "little") + b"\xff\xfe"):
+            with pytest.raises(CompressionError):
+                decompress_payload(b"\x02" + zlib.compress(body))
+
+    def test_zero_length_leaf_with_a_huge_itemsize_is_harmless(self):
+        header = {"v": 1, "structure": nd(0, "V2000000000", 0), "buffer_lengths": [0]}
+        body = decompress_payload(planes_wire(header, b""))
+        assert body.startswith(MAGIC)
+
+    def test_well_formed_hand_built_body_unshuffles(self):
+        sent = np.arange(6, dtype="<f4")
+        planes = sent.view(np.uint8).reshape(-1, 4).T.tobytes()
+        header = {"v": 1, "structure": nd(0, "<f4", 6), "buffer_lengths": [24]}
+        got = decode_payload(decompress_payload(planes_wire(header, planes)))
+        np.testing.assert_array_equal(got, sent)
+
+    @given(st.binary(min_size=1, max_size=300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_wire_raises_typed_errors_only(self, noise, seed):
+        rng = np.random.default_rng(seed)
+        wire = bytearray(wire_of({"w": np.linspace(0, 1, 500, dtype=np.float32), "k": "v" * 40}))
+        assert wire[0] == 2
+        inflated = bytearray(zlib.decompress(bytes(wire[1:])))
+        at = int(rng.integers(0, len(inflated)))
+        inflated[at : at + len(noise)] = noise
+        try:
+            decode_payload(decompress_payload(b"\x02" + zlib.compress(bytes(inflated)), copy=False))
+        except (CompressionError, SerializationError):
+            pass
 
 
 class TestBatchEncoder:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import zlib
 
 import numpy as np
@@ -12,7 +13,7 @@ from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.messages import MQTTMessage
 from repro.mqttfc import rfc
-from repro.mqttfc.batching import BatchEncoder
+from repro.mqttfc.batching import BatchChunk, BatchEncoder
 from repro.mqttfc.compression import CompressionConfig, CompressionError, compress_frame
 from repro.mqttfc.rfc import (
     FleetControlEndpoint,
@@ -248,6 +249,36 @@ class TestCalls:
         assert call.result() == 50_000
 
 
+class TestCodingCounters:
+    """``EndpointStats`` says what compression did with every logical payload."""
+
+    @staticmethod
+    def _codings(stats):
+        return (stats.frames_sent_raw, stats.frames_sent_huffman,
+                stats.frames_sent_level1, stats.frames_deflate_discarded)
+
+    def test_each_send_is_counted_once_by_its_coding(self, rig):
+        make, pump = rig
+        server = make("server", compression=CompressionConfig(enabled=False))
+        caller = make("caller")
+        server.register("take", lambda _payload: None)
+        rng = np.random.default_rng(3)
+        payloads = [
+            "below min_bytes",
+            {"w": (rng.standard_normal(5000) * 0.05).astype(np.float32)},
+            {"w": rng.standard_normal(5000) / 3},
+            {"nodes": [f"client_{i:03d}" for i in range(400)]},
+            {"w": np.frombuffer(rng.bytes(1 << 20), dtype=np.float32)},
+        ]
+        for payload in payloads:
+            caller.call("server", "take", payload)
+        pump.run_until_idle()
+        assert self._codings(caller.stats) == (1, 1, 2, 1)
+        assert self._codings(server.stats) == (len(payloads), 0, 0, 0)  # compression off
+        caller.reset_stats()
+        assert self._codings(caller.stats) == (0, 0, 0, 0)
+
+
 class TestSharedInflate:
     """One ``zlib`` inflate per publish, shared by identity of the wire bytes."""
 
@@ -376,6 +407,43 @@ class TestSharedInflate:
             with pytest.raises(CompressionError):
                 self._deliver(endpoint, wire)
         assert rfc._last_inflated == (None, None) and got == []
+
+    def test_receivers_share_one_unshuffled_body(self, broker, inflates):
+        endpoints, got = self._receivers(broker, 3)
+        (wire,) = self._wire(self._state(1.5))
+        assert BatchChunk.from_bytes(wire).data[:1] == b"\x02"
+        for endpoint in endpoints:
+            self._deliver(endpoint, wire)
+        assert len(inflates) == 1
+        body = rfc._last_inflated[1]
+        assert body[:4] == b"MQFC"  # element order restored before it was shared
+        for state in got:
+            np.testing.assert_array_equal(state["w"], np.full(4096, 1.5))
+            np.testing.assert_array_equal(state["b"], np.arange(8, dtype=np.float32))
+            assert state["w"].base is not None and not state["w"].flags.writeable
+        assert np.shares_memory(got[0]["w"], got[2]["w"])
+
+    @pytest.mark.parametrize(
+        "header, buffers",
+        [
+            pytest.param({"v": 1, "structure": {"__nd__": 0, "dtype": "<f8", "shape": [1]},
+                          "buffer_lengths": [12]}, bytes(12), id="itemsize-does-not-divide-leaf"),
+            pytest.param({"v": 1, "structure": {"__nd__": 0, "dtype": "<f4", "shape": [3]},
+                          "buffer_lengths": [12]}, bytes(20), id="lengths-disagree-with-body"),
+            pytest.param({"v": 1, "structure": {"__nd__": 0, "dtype": "nope", "shape": [3]},
+                          "buffer_lengths": [12]}, bytes(12), id="unknown-dtype"),
+        ],
+    )
+    def test_corrupt_byte_plane_body_fails_every_receiver(self, broker, header, buffers):
+        endpoints, got = self._receivers(broker, 3)
+        document = json.dumps(header).encode()
+        body = b"MQFC" + len(document).to_bytes(4, "little") + document + buffers
+        (wire,) = BatchEncoder().iter_payloads_frame(PayloadFrame([b"\x02", zlib.compress(body)]))
+        for endpoint in endpoints:
+            with pytest.raises(CompressionError):
+                self._deliver(endpoint, wire)
+        assert rfc._last_inflated == (None, None) and got == []
+        assert [e.stats.frames_inflated for e in endpoints] == [0, 0, 0]
 
     def test_bridged_three_region_broadcast_inflates_once(self, inflates):
         brokers = [MQTTBroker(f"region-{i}") for i in range(3)]

@@ -316,8 +316,9 @@ class TestRunnerFlightRecorder:
             assert first == second, f"{suffix} differs between identical runs"
 
     def test_registry_trace_is_pinned_across_receive_path_changes(self, tmp_path, capsys):
-        """``scenario run degraded-wan --seed 7 --no-store --trace D`` as PR 12
-        wrote it: sharing an inflate must not move one sim-time trace line."""
+        """``scenario run degraded-wan --seed 7 --no-store --trace D`` as the
+        PR 14 wire revision wrote it: a receive-side change (sharing an
+        inflate, un-shuffling once) must not move one sim-time trace line."""
         from repro.cli import main
 
         assert main(["scenario", "run", "degraded-wan", "--seed", "7", "--no-store",
@@ -325,7 +326,7 @@ class TestRunnerFlightRecorder:
         capsys.readouterr()
         trace = (tmp_path / "degraded-wan_7.trace.jsonl").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == (
-            "df80c349421a2f2fbf5e6d230e1739560902791c6e0d6a7d8a57665bade9629b"
+            "cae9e6aaede69a48752c17a74c928702b4bc87d6b676a8aa4f9939d9690cadcc"
         )
 
     def test_trace_contains_delivery_and_round_phase_spans(self, tmp_path):
@@ -354,7 +355,7 @@ class TestRunnerFlightRecorder:
 
         def counting(frame, config=None):
             result = real(frame, config)
-            if result.segments[0] == b"\x01":
+            if result.coding in ("huffman", "level1"):
                 compressed_publishes.append(1)
             return result
 
@@ -374,7 +375,13 @@ class TestRunnerFlightRecorder:
         assert published > 0 and len(compressed_publishes) == 2 * published
         assert first["endpoint_frames_inflated"] == published
         assert first["endpoint_inflates_shared"] > 10 * published  # 48-way fan-out
-        for gauge in ("endpoint_frames_inflated", "endpoint_inflates_shared"):
+        # Only the float64 global broadcast and the JSON topology deflate.
+        assert first["endpoint_frames_sent_level1"] == published
+        assert first["endpoint_frames_sent_huffman"] == 0
+        assert first["endpoint_frames_deflate_discarded"] == 0
+        assert first["endpoint_frames_sent_raw"] > published
+        for gauge in ("endpoint_frames_inflated", "endpoint_inflates_shared",
+                      "endpoint_frames_sent_level1", "endpoint_frames_sent_raw"):
             assert second[gauge] == first[gauge]
 
     def test_untraced_run_attaches_no_tracer_cost_path(self):

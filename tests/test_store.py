@@ -38,6 +38,7 @@ from repro.scenarios.serve import create_server
 from repro.scenarios.store import BUSY_TIMEOUT_MS, SCHEMA_VERSION
 
 import repro.scenarios.runner as runner_module
+import repro.scenarios.store as store_module
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -309,6 +310,26 @@ class TestRunWithStore:
         assert cached.signature == fresh.signature
         assert ScenarioRunner.format_rounds(cached) == ScenarioRunner.format_rounds(fresh)
         assert ScenarioRunner.format_summary([cached]) == ScenarioRunner.format_summary([fresh])
+
+    def test_row_written_under_the_previous_revision_is_not_served(self, store, monkeypatch):
+        # A change that moves signatures bumps RESULTS_REVISION; what the store
+        # holds from before must miss (once) instead of serving old results.
+        spec, sweep = _tiny_base(), _small_sweep()
+        current = store_module.RESULTS_REVISION
+        monkeypatch.setattr(store_module, "RESULTS_REVISION", current - 1)
+        old_key, old_sweep_key = spec_hash(spec), sweep_hash(sweep)
+        store.put_run(old_key, spec.seed, spec, "previous-revision", {"stale": True})
+        monkeypatch.setattr(store_module, "RESULTS_REVISION", current)
+        assert spec_hash(spec) != old_key and sweep_hash(sweep) != old_sweep_key
+
+        runner = ScenarioRunner(store=store)
+        fresh = runner.run(spec)
+        assert not fresh.from_store and fresh.signature != "previous-revision"
+        assert runner.store_hits == 0 and runner.store_misses == 1
+        assert runner.run(spec).from_store  # the miss happens once
+        # The old row is still there for ``store gc`` to collect.
+        assert store.get_run(old_key, spec.seed).payload == {"stale": True}
+        assert store.gc(scenario=spec.name)["runs"] == 2
 
     def test_cached_signature_matches_a_storeless_runner(self, store):
         cached = ScenarioRunner(store=store)
