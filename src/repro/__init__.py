@@ -19,20 +19,17 @@ Quickstart
 True
 """
 
-from repro.core.client import SDFLMQClient
-from repro.core.coordinator import Coordinator, CoordinatorConfig
-from repro.core.parameter_server import ParameterServer
-from repro.runtime.experiment import ExperimentConfig, ExperimentResult, FLExperiment
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SDFLMQClient",
-    "Coordinator",
-    "CoordinatorConfig",
-    "ParameterServer",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FLExperiment",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.client": ("SDFLMQClient",),
+        "repro.core.coordinator": ("Coordinator", "CoordinatorConfig"),
+        "repro.core.parameter_server": ("ParameterServer",),
+        "repro.runtime.experiment": ("ExperimentConfig", "ExperimentResult", "FLExperiment"),
+    },
+)
+__all__.append("__version__")

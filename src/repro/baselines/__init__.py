@@ -10,15 +10,13 @@
   communication delay model.
 """
 
-from repro.baselines.offline import OfflineTrainingBaseline, OfflineResult
-from repro.baselines.centralized import CentralizedFedAvgBaseline, CentralizedResult
-from repro.baselines.gossip import GossipFLBaseline, GossipResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OfflineTrainingBaseline",
-    "OfflineResult",
-    "CentralizedFedAvgBaseline",
-    "CentralizedResult",
-    "GossipFLBaseline",
-    "GossipResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.offline": ("OfflineTrainingBaseline", "OfflineResult"),
+        "repro.baselines.centralized": ("CentralizedFedAvgBaseline", "CentralizedResult"),
+        "repro.baselines.gossip": ("GossipFLBaseline", "GossipResult"),
+    },
+)

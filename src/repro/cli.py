@@ -30,40 +30,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, TypeVar
 
-from repro.experiments import ablations
-from repro.experiments.fig7_accuracy import Fig7Config, run_fig7
-from repro.experiments.fig8_delay import Fig8Config, run_fig8
 from repro.experiments.report import format_series, format_table
-from repro.obs import get_logger
-from repro.obs.tools import summarize_trace, trace_summary_rows
-from repro.runtime.experiment import ExperimentConfig, FLExperiment
-from repro.scenarios import (
-    ResultsStore,
-    ResultsStoreError,
-    ScenarioRunner,
-    ScenarioSpec,
-    SweepSpec,
-    default_store_path,
-    grid_names,
-    grid_summaries,
-    scenario_names,
-    scenario_summaries,
-    schema_markdown,
-)
+
+# Each handler imports what it runs: a verb that only reads the registry or
+# the store never loads numpy, the runtime or the figure harnesses.
+if TYPE_CHECKING:
+    from repro.scenarios.runner import ScenarioRunner
+    from repro.scenarios.store import ResultsStore
 
 __all__ = ["main", "build_parser", "ABLATIONS"]
 
-#: name → zero/low-argument callable returning table rows.
-ABLATIONS: Dict[str, Callable[..., List[dict]]] = {
-    "aggregator-fraction": ablations.run_aggregator_fraction_sweep,
-    "payload-compression": ablations.run_payload_compression_sweep,
-    "role-rearrangement": ablations.run_role_rearrangement,
-    "broker-bridging": ablations.run_broker_bridging,
-    "topologies": ablations.run_topology_comparison,
-    "aggregation-strategies": ablations.run_aggregation_strategies,
+#: name → the :mod:`repro.experiments.ablations` function returning its rows.
+ABLATIONS: Dict[str, str] = {
+    "aggregator-fraction": "run_aggregator_fraction_sweep",
+    "payload-compression": "run_payload_compression_sweep",
+    "role-rearrangement": "run_role_rearrangement",
+    "broker-bridging": "run_broker_bridging",
+    "topologies": "run_topology_comparison",
+    "aggregation-strategies": "run_aggregation_strategies",
 }
+
+_Spec = TypeVar("_Spec")
+
+
+class _UsageError(Exception):
+    """A one-line command-line mistake: printed to stderr, exit status 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="expand a parameter grid (named or --spec JSON) and run every cell",
     )
     scenario_grid.add_argument(
-        "name", nargs="?", default="deadline-tier-mix",
-        help="grid registry name (default: deadline-tier-mix; ignored with --spec)",
+        "name", nargs="?", default=None,
+        help="grid registry name (default: deadline-tier-mix; omit when using --spec)",
     )
     scenario_grid.add_argument(
         "--spec", default=None, metavar="FILE",
@@ -267,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
+    from repro.experiments.fig7_accuracy import Fig7Config, run_fig7
+
     result = run_fig7(Fig7Config(fast=args.fast, seed=args.seed))
     print("Fig. 7 — accuracy convergence (offline vs SDFLMQ, 5 clients)\n")
     print(format_table(result.as_rows(), precision=2))
@@ -277,6 +272,8 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
+    from repro.experiments.fig8_delay import Fig8Config, run_fig8
+
     result = run_fig8(Fig8Config(fast=args.fast, seed=args.seed))
     print("Fig. 8 — total processing delay of 10 FL rounds vs number of clients\n")
     print(format_table(result.as_rows(), precision=1))
@@ -284,7 +281,9 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    rows = ABLATIONS[args.name]()
+    from repro.experiments import ablations
+
+    rows = getattr(ablations, ABLATIONS[args.name])()
     print(f"Ablation: {args.name}\n")
     printable = [
         {k: v for k, v in row.items() if not isinstance(v, dict)} for row in rows
@@ -301,6 +300,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.runtime.experiment import ExperimentConfig, FLExperiment
+
     config = ExperimentConfig(
         name="cli-run",
         num_clients=args.clients,
@@ -337,12 +338,25 @@ def _store_path(args: argparse.Namespace) -> Optional[str]:
     """The results-store path the command should use (None = store disabled)."""
     if getattr(args, "no_store", False):
         return None
-    return args.store if args.store is not None else default_store_path()
+    if args.store is not None:
+        return args.store
+    from repro.scenarios.store import default_store_path
+
+    return default_store_path()
 
 
 def _make_runner(args: argparse.Namespace) -> ScenarioRunner:
     """A runner wired to the selected results store (owned by the runner)."""
+    from repro.scenarios.runner import ScenarioRunner
+
     return ScenarioRunner(store=_store_path(args))
+
+
+def _logger(name: str, **context: object):
+    """``repro.obs.log.get_logger``, imported by the verbs that log."""
+    from repro.obs.log import get_logger
+
+    return get_logger(name, **context)
 
 
 def _log_store_status(runner: ScenarioRunner, result) -> None:
@@ -356,7 +370,7 @@ def _log_store_status(runner: ScenarioRunner, result) -> None:
     if runner.store is None:
         return
     if hasattr(result, "cached_cells"):
-        log = get_logger(
+        log = _logger(
             "repro.scenario.grid", grid=result.sweep.name, workers=result.workers
         )
         log.info(
@@ -364,29 +378,50 @@ def _log_store_status(runner: ScenarioRunner, result) -> None:
             f"({runner.store.path})"
         )
     else:
-        log = get_logger(
+        log = _logger(
             "repro.scenario.run", scenario=result.spec.name, seed=result.seed
         )
         status = "hit" if result.from_store else "miss (stored)"
         log.info(f"store: {status} ({runner.store.path})")
 
 
+def _load_spec_file(args: argparse.Namespace, from_dict: Callable[[object], _Spec]) -> _Spec:
+    """The validated spec behind ``--spec FILE`` (``scenario run`` and ``grid``)."""
+    from repro.scenarios.spec import ScenarioSpecError
+
+    if args.name is not None:
+        raise _UsageError(
+            f"give a registry name or --spec FILE, not both "
+            f"(got {args.name!r} and --spec {args.spec})"
+        )
+    try:
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            return from_dict(json.load(handle))
+    except OSError as exc:
+        raise _UsageError(f"cannot read spec file {args.spec}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{args.spec} is not valid JSON: {exc}") from exc
+    except ScenarioSpecError as exc:
+        raise _UsageError(f"{args.spec} is not a valid spec: {exc}") from exc
+
+
 def _cmd_scenario_grid(args: argparse.Namespace) -> int:
+    from repro.scenarios.sweep import SweepSpec, grid_names, grid_summaries
+
     if args.list_grids:
         print("Named grids (python -m repro scenario grid <name>):\n")
         print(format_table(grid_summaries(), precision=2))
         return 0
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            grid = SweepSpec.from_dict(json.load(handle))
+        grid = _load_spec_file(args, SweepSpec.from_dict)
     else:
-        if args.name not in grid_names():
+        grid = args.name if args.name is not None else "deadline-tier-mix"
+        if grid not in grid_names():
             print(
-                f"unknown grid {args.name!r}; available: {', '.join(grid_names())}",
+                f"unknown grid {grid!r}; available: {', '.join(grid_names())}",
                 file=sys.stderr,
             )
             return 2
-        grid = args.name
 
     if args.resume and _store_path(args) is None:
         print("--resume needs the results store (drop --no-store)", file=sys.stderr)
@@ -397,7 +432,7 @@ def _cmd_scenario_grid(args: argparse.Namespace) -> int:
         result = runner.run_grid(grid, workers=args.workers, trace_dir=args.trace)
         _log_store_status(runner, result)
         if args.trace is not None:
-            get_logger("repro.scenario.grid", grid=result.sweep.name).info(
+            _logger("repro.scenario.grid", grid=result.sweep.name).info(
                 f"trace: wrote {len(result.cells)} cell flight recorder(s) to {args.trace}"
             )
     finally:
@@ -411,14 +446,14 @@ def _cmd_scenario_grid(args: argparse.Namespace) -> int:
            if sweep.duplicates_collapsed else "")
         + "\n"
     )
-    print(ScenarioRunner.format_grid(result))
+    print(runner.format_grid(result))
     print()
     print("messaging_s (observed makespan) vs total_s (analytic critical path):\n")
-    print(ScenarioRunner.format_comparison(result))
+    print(runner.format_comparison(result))
     if result.seed_aggregate_rows():
         print()
         print("per-cell mean/stddev across the seed axis:\n")
-        print(ScenarioRunner.format_seed_aggregate(result))
+        print(runner.format_seed_aggregate(result))
     if args.report is not None:
         paths = result.write_report(args.report)
         print()
@@ -428,6 +463,8 @@ def _cmd_scenario_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_schema(args: argparse.Namespace) -> int:
+    from repro.scenarios.schema import schema_markdown
+
     generated = schema_markdown()
     if args.check is None:
         print(generated, end="")
@@ -451,10 +488,14 @@ def _open_store(args: argparse.Namespace) -> Optional[ResultsStore]:
     if path is None:
         print("this command needs the results store (drop --no-store)", file=sys.stderr)
         return None
+    from repro.scenarios.store import ResultsStore
+
     return ResultsStore(path)
 
 
 def _cmd_scenario_store(args: argparse.Namespace) -> int:
+    from repro.scenarios.store import ResultsStoreError
+
     store = _open_store(args)
     if store is None:
         return 2
@@ -522,7 +563,7 @@ def _cmd_scenario_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         stats = store.stats()
-        get_logger("repro.scenario.serve", host=args.host, port=args.port).info(
+        _logger("repro.scenario.serve", host=args.host, port=args.port).info(
             f"serving {stats['runs']} run(s) / {stats['grids']} grid(s) from "
             f"{stats['path']} on http://{args.host}:{args.port}/ (Ctrl-C to stop)"
         )
@@ -539,6 +580,8 @@ def _cmd_scenario_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_trace(args: argparse.Namespace) -> int:
+    from repro.obs.tools import summarize_trace, trace_summary_rows
+
     try:
         summary = summarize_trace(args.file)
     except (OSError, ValueError) as exc:
@@ -561,6 +604,8 @@ def _cmd_scenario_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.scenarios.registry import scenario_names, scenario_summaries
+
     if args.scenario_command == "list":
         print("Named scenarios (python -m repro scenario run <name>):\n")
         print(format_table(scenario_summaries(), precision=2))
@@ -580,8 +625,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         if args.scenario_command == "run":
             if args.spec is not None:
-                with open(args.spec, "r", encoding="utf-8") as handle:
-                    spec = ScenarioSpec.from_dict(json.load(handle))
+                from repro.scenarios.spec import ScenarioSpec
+
+                spec = _load_spec_file(args, ScenarioSpec.from_dict)
             elif args.name is not None:
                 if args.name not in scenario_names():
                     print(
@@ -597,16 +643,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             result = runner.run(spec, seed=args.seed, trace_dir=args.trace)
             _log_store_status(runner, result)
             if args.trace is not None:
-                get_logger(
+                _logger(
                     "repro.scenario.run",
                     scenario=result.spec.name,
                     seed=result.seed,
                 ).info(f"trace: wrote flight recorder to {args.trace}")
             print(f"Scenario: {result.spec.name} (seed {result.seed}) — "
                   f"{result.spec.description}\n")
-            print(ScenarioRunner.format_rounds(result))
+            print(runner.format_rounds(result))
             print()
-            print(ScenarioRunner.format_summary([result]))
+            print(runner.format_summary([result]))
             # The full determinism fingerprint, printed identically whether
             # the run was fresh or store-served.
             print()
@@ -622,7 +668,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             return 2
         results = runner.run_suite(names, seeds=args.seeds)
         print(f"Scenario sweep: {len(results)} run(s)\n")
-        print(ScenarioRunner.format_summary(results))
+        print(runner.format_summary(results))
         return 0
     finally:
         runner.close()
@@ -642,7 +688,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

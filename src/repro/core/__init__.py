@@ -6,125 +6,44 @@ clustering, load balancing, aggregation strategies) and the topic scheme that
 binds everything to MQTT.
 """
 
-from repro.core.aggregation import (
-    AggregationStrategy,
-    ContributionBuffer,
-    FedAvg,
-    UniformAverage,
-    CoordinateMedian,
-    TrimmedMean,
-    FedAvgMomentum,
-    ModelContribution,
-    get_aggregator,
-    available_aggregators,
-)
-from repro.core.client import SDFLMQClient, SessionParticipation
-from repro.core.clustering import ClusteringConfig, ClusteringEngine, ClusterNode, ClusterTopology
-from repro.core.coordinator import Coordinator, CoordinatorConfig
-from repro.core.errors import (
-    SDFLMQError,
-    SessionError,
-    SessionFullError,
-    SessionNotFoundError,
-    DuplicateSessionError,
-    RoleError,
-    AggregationError,
-    ModelNotRegisteredError,
-)
-from repro.core.load_balancer import LoadBalancer, RebalanceResult
-from repro.core.messages import (
-    SessionRequest,
-    SessionAck,
-    JoinRequest,
-    JoinAck,
-    RoleAssignment,
-    ClientStatsReport,
-    GlobalModelNotice,
-)
-from repro.core.model_controller import ModelController, ModelRecord
-from repro.core.parameter_server import ParameterServer, GlobalModelRecord
-from repro.core.role_arbiter import RoleArbiter, RoleState, TopicChange
-from repro.core.role_optimizers import (
-    RoleOptimizationPolicy,
-    StaticPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    MemoryAwarePolicy,
-    CompositeScorePolicy,
-    GeneticPolicy,
-    get_policy,
-    available_policies,
-)
-from repro.core.roles import Role
-from repro.core.rounds import (
-    ClientRoundView,
-    LifecycleEvent,
-    RoundLifecycle,
-    RoundLifecycleError,
-    RoundPhase,
-)
-from repro.core.session import FLSession, SessionState
-from repro.core import topics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregationStrategy",
-    "FedAvg",
-    "UniformAverage",
-    "CoordinateMedian",
-    "TrimmedMean",
-    "FedAvgMomentum",
-    "ModelContribution",
-    "get_aggregator",
-    "available_aggregators",
-    "SDFLMQClient",
-    "SessionParticipation",
-    "ClusteringConfig",
-    "ClusteringEngine",
-    "ClusterNode",
-    "ClusterTopology",
-    "Coordinator",
-    "CoordinatorConfig",
-    "SDFLMQError",
-    "SessionError",
-    "SessionFullError",
-    "SessionNotFoundError",
-    "DuplicateSessionError",
-    "RoleError",
-    "AggregationError",
-    "ModelNotRegisteredError",
-    "LoadBalancer",
-    "RebalanceResult",
-    "SessionRequest",
-    "SessionAck",
-    "JoinRequest",
-    "JoinAck",
-    "RoleAssignment",
-    "ClientStatsReport",
-    "GlobalModelNotice",
-    "ModelController",
-    "ModelRecord",
-    "ParameterServer",
-    "GlobalModelRecord",
-    "RoleArbiter",
-    "RoleState",
-    "TopicChange",
-    "RoleOptimizationPolicy",
-    "StaticPolicy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "MemoryAwarePolicy",
-    "CompositeScorePolicy",
-    "GeneticPolicy",
-    "get_policy",
-    "available_policies",
-    "Role",
-    "ClientRoundView",
-    "ContributionBuffer",
-    "LifecycleEvent",
-    "RoundLifecycle",
-    "RoundLifecycleError",
-    "RoundPhase",
-    "FLSession",
-    "SessionState",
-    "topics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.aggregation": (
+            "AggregationStrategy", "ContributionBuffer", "FedAvg", "UniformAverage",
+            "CoordinateMedian", "TrimmedMean", "FedAvgMomentum", "ModelContribution",
+            "get_aggregator", "available_aggregators",
+        ),
+        "repro.core.client": ("SDFLMQClient", "SessionParticipation"),
+        "repro.core.clustering": (
+            "ClusteringConfig", "ClusteringEngine", "ClusterNode", "ClusterTopology",
+        ),
+        "repro.core.coordinator": ("Coordinator", "CoordinatorConfig"),
+        "repro.core.errors": (
+            "SDFLMQError", "SessionError", "SessionFullError", "SessionNotFoundError",
+            "DuplicateSessionError", "RoleError", "AggregationError", "ModelNotRegisteredError",
+        ),
+        "repro.core.load_balancer": ("LoadBalancer", "RebalanceResult"),
+        "repro.core.messages": (
+            "SessionRequest", "SessionAck", "JoinRequest", "JoinAck", "RoleAssignment",
+            "ClientStatsReport", "GlobalModelNotice",
+        ),
+        "repro.core.model_controller": ("ModelController", "ModelRecord"),
+        "repro.core.parameter_server": ("ParameterServer", "GlobalModelRecord"),
+        "repro.core.role_arbiter": ("RoleArbiter", "RoleState", "TopicChange"),
+        "repro.core.role_optimizers": (
+            "RoleOptimizationPolicy", "StaticPolicy", "RandomPolicy", "RoundRobinPolicy",
+            "MemoryAwarePolicy", "CompositeScorePolicy", "GeneticPolicy", "get_policy",
+            "available_policies",
+        ),
+        "repro.core.roles": ("Role",),
+        "repro.core.rounds": (
+            "ClientRoundView", "LifecycleEvent", "RoundLifecycle", "RoundLifecycleError",
+            "RoundPhase",
+        ),
+        "repro.core.session": ("FLSession", "SessionState"),
+    },
+    submodules=("topics",),
+)

@@ -14,20 +14,14 @@ Each module corresponds to one evaluation artefact (see DESIGN.md §4):
   the benchmark harness to print paper-style rows.
 """
 
-from repro.experiments.fig7_accuracy import Fig7Config, Fig7Result, run_fig7
-from repro.experiments.fig8_delay import Fig8Config, Fig8Result, run_fig8
-from repro.experiments.report import format_table, format_series, rows_to_markdown
-from repro.experiments import ablations
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Fig7Config",
-    "Fig7Result",
-    "run_fig7",
-    "Fig8Config",
-    "Fig8Result",
-    "run_fig8",
-    "format_table",
-    "format_series",
-    "rows_to_markdown",
-    "ablations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.fig7_accuracy": ("Fig7Config", "Fig7Result", "run_fig7"),
+        "repro.experiments.fig8_delay": ("Fig8Config", "Fig8Result", "run_fig8"),
+        "repro.experiments.report": ("format_table", "format_series", "rows_to_markdown"),
+    },
+    submodules=("ablations",),
+)

@@ -21,69 +21,27 @@ All arrays are ``float64`` by default for numerical robustness in tests, with
 payload sizes realistic.
 """
 
-from repro.ml.layers import (
-    Layer,
-    Linear,
-    ReLU,
-    LeakyReLU,
-    Sigmoid,
-    Tanh,
-    Dropout,
-    Flatten,
-    Sequential,
-)
-from repro.ml.losses import CrossEntropyLoss, MSELoss, softmax
-from repro.ml.optim import SGD, Adam, AdamW, Optimizer
-from repro.ml.models import ClassifierModel, make_mlp, make_logistic_regression, make_paper_mlp
-from repro.ml.state import (
-    state_dict_num_parameters,
-    state_dict_nbytes,
-    flatten_state_dict,
-    unflatten_state_dict,
-    zeros_like_state_dict,
-    state_dicts_allclose,
-)
-from repro.ml.data import ArrayDataset, DataLoader, train_test_split
-from repro.ml.datasets import synthetic_digits, SyntheticDigitsConfig
-from repro.ml.partition import iid_partition, dirichlet_partition, shard_partition
-from repro.ml.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Layer",
-    "Linear",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
-    "Flatten",
-    "Sequential",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "softmax",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "Optimizer",
-    "ClassifierModel",
-    "make_mlp",
-    "make_logistic_regression",
-    "make_paper_mlp",
-    "state_dict_num_parameters",
-    "state_dict_nbytes",
-    "flatten_state_dict",
-    "unflatten_state_dict",
-    "zeros_like_state_dict",
-    "state_dicts_allclose",
-    "ArrayDataset",
-    "DataLoader",
-    "train_test_split",
-    "synthetic_digits",
-    "SyntheticDigitsConfig",
-    "iid_partition",
-    "dirichlet_partition",
-    "shard_partition",
-    "accuracy",
-    "confusion_matrix",
-    "top_k_accuracy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.ml.layers": (
+            "Layer", "Linear", "ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Dropout", "Flatten",
+            "Sequential",
+        ),
+        "repro.ml.losses": ("CrossEntropyLoss", "MSELoss", "softmax"),
+        "repro.ml.optim": ("SGD", "Adam", "AdamW", "Optimizer"),
+        "repro.ml.models": (
+            "ClassifierModel", "make_mlp", "make_logistic_regression", "make_paper_mlp",
+        ),
+        "repro.ml.state": (
+            "state_dict_num_parameters", "state_dict_nbytes", "flatten_state_dict",
+            "unflatten_state_dict", "zeros_like_state_dict", "state_dicts_allclose",
+        ),
+        "repro.ml.data": ("ArrayDataset", "DataLoader", "train_test_split"),
+        "repro.ml.datasets": ("synthetic_digits", "SyntheticDigitsConfig"),
+        "repro.ml.partition": ("iid_partition", "dirichlet_partition", "shard_partition"),
+        "repro.ml.metrics": ("accuracy", "confusion_matrix", "top_k_accuracy"),
+    },
+)

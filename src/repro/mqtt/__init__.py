@@ -18,46 +18,22 @@ Clients expose a paho-like API (``connect`` / ``subscribe`` / ``publish`` /
 to code written against the real paho client.
 """
 
-from repro.mqtt.errors import (
-    MQTTError,
-    NotConnectedError,
-    InvalidTopicError,
-    InvalidTopicFilterError,
-    PayloadTooLargeError,
-)
-from repro.mqtt.messages import MQTTMessage, QoS, DeliveryRecord
-from repro.mqtt.topics import (
-    topic_matches_filter,
-    validate_topic,
-    validate_topic_filter,
-    TopicTrie,
-)
-from repro.mqtt.network import LinkProfile, NetworkModel, TrafficLog, TrafficRecord
-from repro.mqtt.broker import MQTTBroker, BrokerStats, Subscription
-from repro.mqtt.client import MQTTClient
-from repro.mqtt.bridge import BrokerBridge, BridgeRule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MQTTError",
-    "NotConnectedError",
-    "InvalidTopicError",
-    "InvalidTopicFilterError",
-    "PayloadTooLargeError",
-    "MQTTMessage",
-    "QoS",
-    "DeliveryRecord",
-    "topic_matches_filter",
-    "validate_topic",
-    "validate_topic_filter",
-    "TopicTrie",
-    "LinkProfile",
-    "NetworkModel",
-    "TrafficLog",
-    "TrafficRecord",
-    "MQTTBroker",
-    "BrokerStats",
-    "Subscription",
-    "MQTTClient",
-    "BrokerBridge",
-    "BridgeRule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.mqtt.errors": (
+            "MQTTError", "NotConnectedError", "InvalidTopicError", "InvalidTopicFilterError",
+            "PayloadTooLargeError",
+        ),
+        "repro.mqtt.messages": ("MQTTMessage", "QoS", "DeliveryRecord"),
+        "repro.mqtt.topics": (
+            "topic_matches_filter", "validate_topic", "validate_topic_filter", "TopicTrie",
+        ),
+        "repro.mqtt.network": ("LinkProfile", "NetworkModel", "TrafficLog", "TrafficRecord"),
+        "repro.mqtt.broker": ("MQTTBroker", "BrokerStats", "Subscription"),
+        "repro.mqtt.client": ("MQTTClient",),
+        "repro.mqtt.bridge": ("BrokerBridge", "BridgeRule"),
+    },
+)

@@ -13,7 +13,8 @@ This package provides:
   contiguous buffers, never as pickled objects);
 * :mod:`repro.mqttfc.codecs` — pluggable update-compression codecs
   (fp16/int8 quantization, top-k sparsification, exact delta encoding)
-  applied to model state dicts before the frame codec;
+  applied to model state dicts before the frame codec; their spec grammar
+  lives in the numpy-free :mod:`repro.mqttfc.codec_spec`;
 * :mod:`repro.mqttfc.compression` — optional zlib compression (byte-plane
   transpose + entropy-only deflate for tensor frames) behind a
   self-describing flag byte;
@@ -24,56 +25,27 @@ This package provides:
   issues calls with correlation ids and optional responses.
 """
 
-from repro.mqttfc.serialization import (
-    PayloadFrame,
-    decode_payload,
-    encode_payload,
-    encode_payload_frame,
-    payload_size,
-)
-from repro.mqttfc.codecs import (
-    CodecError,
-    CodecStats,
-    UpdateCodec,
-    available_codecs,
-    is_encoded_state,
-    make_update_codec,
-    parse_codec_spec,
-)
-from repro.mqttfc.compression import decompress_payload, CompressionConfig
-from repro.mqttfc.batching import BatchEncoder, BatchAssembler, BatchChunk, BatchReassemblyError
-from repro.mqttfc.rfc import (
-    FleetControlEndpoint,
-    PendingCall,
-    RemoteCallError,
-    RemoteFunctionNotFound,
-    call_topic,
-    response_topic,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PayloadFrame",
-    "encode_payload",
-    "encode_payload_frame",
-    "decode_payload",
-    "payload_size",
-    "CodecError",
-    "CodecStats",
-    "UpdateCodec",
-    "available_codecs",
-    "is_encoded_state",
-    "make_update_codec",
-    "parse_codec_spec",
-    "decompress_payload",
-    "CompressionConfig",
-    "BatchEncoder",
-    "BatchAssembler",
-    "BatchChunk",
-    "BatchReassemblyError",
-    "FleetControlEndpoint",
-    "PendingCall",
-    "RemoteCallError",
-    "RemoteFunctionNotFound",
-    "call_topic",
-    "response_topic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.mqttfc.serialization": (
+            "PayloadFrame", "decode_payload", "encode_payload", "encode_payload_frame",
+            "payload_size",
+        ),
+        "repro.mqttfc.codec_spec": ("CodecError", "available_codecs"),
+        "repro.mqttfc.codecs": (
+            "CodecStats", "UpdateCodec", "is_encoded_state", "make_update_codec",
+            "parse_codec_spec",
+        ),
+        "repro.mqttfc.compression": ("decompress_payload", "CompressionConfig"),
+        "repro.mqttfc.batching": (
+            "BatchEncoder", "BatchAssembler", "BatchChunk", "BatchReassemblyError",
+        ),
+        "repro.mqttfc.rfc": (
+            "FleetControlEndpoint", "PendingCall", "RemoteCallError", "RemoteFunctionNotFound",
+            "call_topic", "response_topic",
+        ),
+    },
+)

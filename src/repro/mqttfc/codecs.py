@@ -68,6 +68,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.mqttfc.codec_spec import (
+    DEFAULT_TOPK_DENSITY,
+    CodecError,
+    available_codecs,
+    parse_codec_grammar,
+    topk_density,
+)
+
 __all__ = [
     "CODEC_WIRE_KEY",
     "CodecError",
@@ -87,16 +95,10 @@ __all__ = [
 #: state dict can never be mistaken for an encoded one.
 CODEC_WIRE_KEY = "updatecodec"
 
-DEFAULT_TOPK_DENSITY = 0.1
-
 #: Delta references kept per session (rounds of history).  Contributions
 #: always reference a recently broadcast global, but a client rejoining
 #: after a long blackout may encode against an older round.
 _REF_HISTORY = 16
-
-
-class CodecError(ValueError):
-    """Raised on invalid codec specs or undecodable encoded updates."""
 
 
 @dataclass
@@ -204,8 +206,6 @@ class _Stage:
     reverses it."""
 
     name = "?"
-    #: Composition rank — stages must appear in non-decreasing rank order.
-    rank = 0
 
     def spec(self) -> str:
         return self.name
@@ -221,7 +221,6 @@ class DeltaStage(_Stage):
     """Round-over-round delta with a bit-exact escape hatch."""
 
     name = "delta"
-    rank = 0
 
     def encode(self, entry: Dict[str, Any], op: _Op, key: Tuple) -> None:
         data = entry["data"]
@@ -285,13 +284,9 @@ class TopKStage(_Stage):
     """Top-k-by-magnitude sparsification (sorted index delta runs + values)."""
 
     name = "topk"
-    rank = 1
 
     def __init__(self, density: float = DEFAULT_TOPK_DENSITY) -> None:
-        density = float(density)
-        if not (0.0 < density <= 1.0):
-            raise CodecError(f"topk density must be in (0, 1], got {density!r}")
-        self.density = density
+        self.density = topk_density(density)
 
     def spec(self) -> str:
         return f"topk={self.density:g}" if self.density != DEFAULT_TOPK_DENSITY else "topk"
@@ -339,7 +334,6 @@ class Fp16Stage(_Stage):
     """IEEE half-precision cast (round-to-nearest)."""
 
     name = "fp16"
-    rank = 2
 
     def encode(self, entry: Dict[str, Any], op: _Op, key: Tuple) -> None:
         data = entry["data"]
@@ -359,7 +353,6 @@ class Int8Stage(_Stage):
     """Per-tensor affine 8-bit quantization (float32 scale/zero-point)."""
 
     name = "int8"
-    rank = 3
 
     def encode(self, entry: Dict[str, Any], op: _Op, key: Tuple) -> None:
         data = entry["data"]
@@ -409,52 +402,19 @@ _STAGE_FACTORIES = {
 }
 
 
-def available_codecs() -> Tuple[str, ...]:
-    """Stage names accepted in ``training.update_codec`` specs."""
-    return tuple(_STAGE_FACTORIES)
-
-
 def parse_codec_spec(spec: Optional[str]) -> Optional[Tuple[str, Tuple[_Stage, ...]]]:
     """Parse a codec spec string into ``(canonical_spec, stages)``.
 
-    ``None``/``""``/``"none"``/``"off"`` mean *no codec* and return None.
-    Stages compose with ``+`` and must respect the fixed order
-    ``delta → topk → fp16 → int8``; ``topk`` takes an optional density
-    parameter (``topk=0.25``).  Raises :class:`CodecError` on unknown
-    stages, bad parameters, duplicates or mis-ordered pipelines.
+    The grammar (and every :class:`CodecError` it raises) is
+    :func:`repro.mqttfc.codec_spec.parse_codec_grammar`; ``None`` means *no
+    codec*.
     """
-    if spec is None:
+    parsed = parse_codec_grammar(spec)
+    if parsed is None:
         return None
-    text = str(spec).strip().lower()
-    if text in ("", "none", "off"):
-        return None
-    stages: List[_Stage] = []
-    for part in text.split("+"):
-        name, _, param = part.strip().partition("=")
-        factory = _STAGE_FACTORIES.get(name)
-        if factory is None:
-            raise CodecError(
-                f"unknown update codec stage {name!r}; "
-                f"available: {', '.join(available_codecs())} (or 'none')"
-            )
-        if param:
-            if name != "topk":
-                raise CodecError(f"codec stage {name!r} takes no parameter, got {param!r}")
-            try:
-                stage: _Stage = TopKStage(float(param))
-            except ValueError as exc:
-                raise CodecError(f"bad topk density {param!r}: {exc}") from exc
-        else:
-            stage = factory()
-        if any(existing.name == stage.name for existing in stages):
-            raise CodecError(f"duplicate codec stage {name!r} in {spec!r}")
-        if stages and stage.rank < stages[-1].rank:
-            raise CodecError(
-                f"codec stages must compose in order delta+topk+fp16+int8, got {spec!r}"
-            )
-        stages.append(stage)
+    stages = tuple(_STAGE_FACTORIES[name](*args) for name, args in parsed)
     canonical = "+".join(stage.spec() for stage in stages)
-    return canonical, tuple(stages)
+    return canonical, stages
 
 
 def is_encoded_state(obj: Any) -> bool:

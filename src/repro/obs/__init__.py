@@ -7,18 +7,13 @@ typing, so the hot paths pay a single ``is None`` check when observability
 is disabled and literally nothing when a component was never attached.
 """
 
-from .log import configure_logging, get_logger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, metric_key
-from .trace import LifecycleTracer, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LifecycleTracer",
-    "MetricsRegistry",
-    "Tracer",
-    "configure_logging",
-    "get_logger",
-    "metric_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.log": ("configure_logging", "get_logger"),
+        "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "metric_key"),
+        "repro.obs.trace": ("LifecycleTracer", "Tracer"),
+    },
+)

@@ -16,23 +16,16 @@ The runtime drives a complete SDFLMQ deployment inside one process:
   metric and delay collection).
 """
 
-from repro.runtime.scheduler import EventScheduler
-from repro.runtime.pump import MessagePump
-from repro.runtime.delay import CriticalPathDelayModel, RoundDelayBreakdown
-from repro.runtime.experiment import (
-    ExperimentConfig,
-    FLExperiment,
-    ExperimentResult,
-    RoundResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventScheduler",
-    "MessagePump",
-    "CriticalPathDelayModel",
-    "RoundDelayBreakdown",
-    "ExperimentConfig",
-    "FLExperiment",
-    "ExperimentResult",
-    "RoundResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.scheduler": ("EventScheduler",),
+        "repro.runtime.pump": ("MessagePump",),
+        "repro.runtime.delay": ("CriticalPathDelayModel", "RoundDelayBreakdown"),
+        "repro.runtime.experiment": (
+            "ExperimentConfig", "FLExperiment", "ExperimentResult", "RoundResult",
+        ),
+    },
+)

@@ -40,9 +40,11 @@ _REGISTRY: Dict[str, Callable[[], ScenarioSpec]] = {}
 def register_scenario(builder: Callable[[], ScenarioSpec], name: str = "") -> str:
     """Add a scenario builder to the registry; returns the registered name.
 
-    The builder is called once immediately to validate the spec and pin the
-    name (``name`` overrides the spec's own).  Re-registering a name replaces
-    the previous builder.
+    Without ``name`` the builder is called once immediately to validate the
+    spec and read its name; with ``name`` nothing is built until the first
+    :func:`get_scenario` (how the built-ins register, so importing this
+    module constructs no spec).  Re-registering a name replaces the previous
+    builder.
 
     >>> from repro.scenarios import ScenarioSpec, get_scenario, register_scenario
     >>> register_scenario(lambda: ScenarioSpec(name="my-workload", seed=3))
@@ -50,8 +52,7 @@ def register_scenario(builder: Callable[[], ScenarioSpec], name: str = "") -> st
     >>> get_scenario("my-workload").seed
     3
     """
-    spec = builder()
-    registered = name or spec.name
+    registered = name or builder().name
     _REGISTRY[registered] = builder
     return registered
 
@@ -255,15 +256,15 @@ def _mid_round_flash_crowd() -> ScenarioSpec:
     )
 
 
-for _builder in (
-    _baseline,
-    _heavy_churn,
-    _straggler_heavy,
-    _degraded_wan,
-    _degraded_wan_int8,
-    _bridged_multi_region,
-    _flash_crowd,
-    _round2_blackout,
-    _mid_round_flash_crowd,
+for _name, _builder in (
+    ("baseline", _baseline),
+    ("heavy-churn", _heavy_churn),
+    ("straggler-heavy", _straggler_heavy),
+    ("degraded-wan", _degraded_wan),
+    ("degraded-wan-int8", _degraded_wan_int8),
+    ("bridged-multi-region", _bridged_multi_region),
+    ("flash-crowd", _flash_crowd),
+    ("round2-blackout", _round2_blackout),
+    ("mid-round-flash-crowd", _mid_round_flash_crowd),
 ):
-    register_scenario(_builder)
+    register_scenario(_builder, name=_name)

@@ -28,15 +28,13 @@ the cells that completed before the kill.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.report import (
     format_table,
@@ -45,14 +43,20 @@ from repro.experiments.report import (
     messaging_vs_analytic_rows,
     write_grid_report,
 )
-from repro.obs import MetricsRegistry, Tracer
-from repro.obs.attach import attach_experiment_metrics, attach_experiment_tracer
-from repro.runtime.experiment import FLExperiment, RoundResult
-from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultsStore, spec_hash, sweep_hash
 from repro.scenarios.sweep import SweepSpec, get_grid
+
+# The execution stack (numpy, the runtime, the compiler, obs.attach) loads
+# where a run executes — ``execute_scenario`` and, so forked workers inherit
+# it, ``_worker_pool`` — never on the store-hit path.
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
+
+    from repro.obs.trace import Tracer
+    from repro.runtime.experiment import FLExperiment, RoundResult
+    from repro.scenarios.compiler import CompiledScenario
 
 __all__ = [
     "CellResult",
@@ -75,17 +79,22 @@ def _plain(value: object) -> object:
     keeps payloads ``json``-serializable and makes the stored→rendered text
     byte-identical to the fresh→rendered text.
     """
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, dict):
-        return {str(key): _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return value
+    import numpy as np  # only executed results reach here
+
+    def plain(value: object) -> object:
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, dict):
+            return {str(key): plain(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        return value
+
+    return plain(value)
 
 
 @dataclass
@@ -466,7 +475,13 @@ def _run_grid_cell(
         trace_dir=trace_dir,
         trace_prefix=f"cell-{index:03d}_" if trace_dir else "",
     )
-    return CellResult.from_scenario(index, coordinates, result)
+    cell = CellResult.from_scenario(index, coordinates, result)
+    # A deployment is a web of reference cycles: free it at the cell boundary,
+    # so a long-lived worker holds one cell's memory rather than however many
+    # the collector's phase lets pile up.
+    del result
+    gc.collect()
+    return cell
 
 
 # ------------------------------------------------------------ execution core
@@ -513,6 +528,8 @@ def _write_trace_files(
 
 def _signature(compiled: CompiledScenario) -> str:
     """SHA-256 over the dispatch-order trace digest and the final global model."""
+    import numpy as np
+
     experiment = compiled.experiment
     digest = hashlib.sha256()
     digest.update((experiment.scheduler.trace_digest or "no-trace").encode())
@@ -535,6 +552,11 @@ def execute_scenario(
     The execution core of :meth:`ScenarioRunner.run`: compile → attach
     metrics/tracer → admission-aware round loop → signature.
     """
+    from repro.obs.attach import attach_experiment_metrics, attach_experiment_tracer
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+    from repro.scenarios.compiler import compile_scenario
+
     effective_seed = spec.seed
     compiled = compile_scenario(spec)
     experiment = compiled.experiment
@@ -624,7 +646,7 @@ class ScenarioRunner:
     def __init__(
         self, store: Union[ResultsStore, str, os.PathLike, None] = None
     ) -> None:
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._pool: Optional[Pool] = None
         self._pool_workers = 0
         self._owns_store = isinstance(store, (str, os.PathLike))
         self._store: Optional[ResultsStore] = (
@@ -641,14 +663,27 @@ class ScenarioRunner:
 
     # ----------------------------------------------------------- worker pool
 
-    def _worker_pool(self, workers: int) -> multiprocessing.pool.Pool:
+    def _worker_pool(self, workers: int) -> Pool:
         """The persistent pool, (re)built when the worker count changes."""
         if self._pool is not None and self._pool_workers == workers:
             return self._pool
         self._shutdown_pool(graceful=True)
+        import multiprocessing
+
+        # Load the execution stack before forking: the workers inherit it
+        # instead of each importing (and paying CPU for) it themselves.
+        import repro.obs.attach  # noqa: F401
+        import repro.scenarios.compiler  # noqa: F401
+
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        self._pool = context.Pool(processes=workers)
+        # Frozen, the inherited objects stay out of the workers' per-cell
+        # collections (and their pages stay shared with this process).
+        gc.freeze()
+        try:
+            self._pool = context.Pool(processes=workers)
+        finally:
+            gc.unfreeze()
         self._pool_workers = workers
         return self._pool
 

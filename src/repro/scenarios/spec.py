@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.rounds import ANCHOR_PHASES
-from repro.sim.device import DEVICE_TIERS
+from repro.mqttfc.codec_spec import CodecError, parse_codec_grammar
 from repro.sim.events import ChurnEvent
+from repro.sim.tiers import DEVICE_TIERS
 
 #: Admission policies for join/reconnect churn events.  ``round_boundary``
 #: queues arrivals until the next round boundary (the classic behaviour);
@@ -255,10 +256,8 @@ class TrainingSpec:
         )
         if self.round_deadline_s is not None:
             _require(self.round_deadline_s > 0, "round_deadline_s must be positive")
-        from repro.mqttfc.codecs import CodecError, parse_codec_spec
-
         try:
-            parse_codec_spec(self.update_codec)
+            parse_codec_grammar(self.update_codec)
         except CodecError as exc:
             _require(False, f"invalid update_codec: {exc}")
 

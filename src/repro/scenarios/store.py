@@ -33,13 +33,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.scenarios.spec import ScenarioSpec
+
+if TYPE_CHECKING:
+    import sqlite3
 
 __all__ = [
     "ResultsStore",
@@ -219,6 +221,8 @@ class ResultsStore:
     """
 
     def __init__(self, path: Union[str, os.PathLike] = DEFAULT_STORE_PATH) -> None:
+        import sqlite3  # loaded when a store opens, not by a --no-store run
+
         self.path = os.fspath(path)
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)

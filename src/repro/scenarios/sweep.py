@@ -318,26 +318,32 @@ class SweepSpec:
 
 # ------------------------------------------------------------- grid registry
 
-_GRID_REGISTRY: Dict[str, SweepSpec] = {}
+_GRID_BUILDERS: Dict[str, Callable[[], SweepSpec]] = {}
+_GRIDS: Dict[str, SweepSpec] = {}  # built sweeps, by registered name
 
 
 def register_grid(builder: Callable[[], SweepSpec], name: str = "") -> str:
     """Add a named grid to the registry; returns the registered name.
 
-    Mirrors :func:`repro.scenarios.registry.register_scenario`, except the
+    Mirrors :func:`repro.scenarios.registry.register_scenario` (with
+    ``name``, nothing is built until the first :func:`get_grid`), except the
     built sweep itself is cached: ``SweepSpec`` is frozen and expansion
     (validating every cell) is the expensive part, so the builder runs
     exactly once and every ``get_grid`` returns the same immutable value.
     """
-    sweep = builder()
-    registered = name or sweep.name
-    _GRID_REGISTRY[registered] = sweep
-    return registered
+    if name:
+        _GRIDS.pop(name, None)
+    else:
+        sweep = builder()
+        name = sweep.name
+        _GRIDS[name] = sweep
+    _GRID_BUILDERS[name] = builder
+    return name
 
 
 def grid_names() -> List[str]:
     """All registered grid names, sorted."""
-    return sorted(_GRID_REGISTRY)
+    return sorted(_GRID_BUILDERS)
 
 
 def get_grid(name: str) -> SweepSpec:
@@ -346,9 +352,12 @@ def get_grid(name: str) -> SweepSpec:
     The returned value is shared and immutable; derive variants with
     ``dataclasses.replace`` rather than mutating it.
     """
-    sweep = _GRID_REGISTRY.get(name)
+    sweep = _GRIDS.get(name)
     if sweep is None:
-        raise KeyError(f"unknown grid {name!r}; available: {', '.join(grid_names())}")
+        builder = _GRID_BUILDERS.get(name)
+        if builder is None:
+            raise KeyError(f"unknown grid {name!r}; available: {', '.join(grid_names())}")
+        sweep = _GRIDS[name] = builder()
     return sweep
 
 
@@ -440,5 +449,6 @@ def _codec_compare() -> SweepSpec:
     )
 
 
-for _builder in (_deadline_tier_mix, _wan_fleet_size, _codec_compare):
-    register_grid(_builder)
+register_grid(_deadline_tier_mix, name="deadline-tier-mix")
+register_grid(_wan_fleet_size, name="wan-fleet-size")
+register_grid(_codec_compare, name="codec-compare")

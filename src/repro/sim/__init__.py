@@ -16,24 +16,18 @@ The paper's evaluation runs on real machines and reads system stats through
   experiment, used by the harness to compute per-round and total delays.
 """
 
-from repro.sim.clock import SimulationClock
-from repro.sim.device import DeviceProfile, DeviceStats, DeviceFleet, DEVICE_TIERS
-from repro.sim.costs import CostModel
-from repro.sim.resources import ResourceAccountant, MemoryOverflowEvent
-from repro.sim.events import CHURN_ACTIONS, ChurnEvent, ChurnSchedule, EventLog, SimEvent
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHURN_ACTIONS",
-    "ChurnEvent",
-    "ChurnSchedule",
-    "SimulationClock",
-    "DeviceProfile",
-    "DeviceStats",
-    "DeviceFleet",
-    "DEVICE_TIERS",
-    "CostModel",
-    "ResourceAccountant",
-    "MemoryOverflowEvent",
-    "EventLog",
-    "SimEvent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.clock": ("SimulationClock",),
+        "repro.sim.device": ("DeviceProfile", "DeviceStats", "DeviceFleet"),
+        "repro.sim.tiers": ("DEVICE_TIERS",),
+        "repro.sim.costs": ("CostModel",),
+        "repro.sim.resources": ("ResourceAccountant", "MemoryOverflowEvent"),
+        "repro.sim.events": (
+            "CHURN_ACTIONS", "ChurnEvent", "ChurnSchedule", "EventLog", "SimEvent",
+        ),
+    },
+)

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.mqtt.network import LinkProfile
+from repro.sim.tiers import DEVICE_TIERS
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import require_in_range, require_positive
 
@@ -103,38 +104,6 @@ class DeviceStats:
             bandwidth_bps=float(data.get("bandwidth_bps", 0.0)),
             battery_level=float(data.get("battery_level", 1.0)),
         )
-
-
-#: Named device tiers used to compose heterogeneous fleets.  Numbers are
-#: loosely calibrated to "edge server", "laptop", "smartphone" and
-#: "Raspberry-Pi-class" devices; the absolute values matter less than their
-#: ratios, which drive who should host aggregation.
-DEVICE_TIERS: Dict[str, Dict[str, float]] = {
-    "server": {
-        "compute_speed": 4.0,
-        "memory_bytes": 8 * 1024**3,
-        "bandwidth_bps": 125e6,
-        "latency_s": 0.002,
-    },
-    "laptop": {
-        "compute_speed": 1.0,
-        "memory_bytes": 2 * 1024**3,
-        "bandwidth_bps": 12.5e6,
-        "latency_s": 0.005,
-    },
-    "phone": {
-        "compute_speed": 0.4,
-        "memory_bytes": 512 * 1024**2,
-        "bandwidth_bps": 6.25e6,
-        "latency_s": 0.015,
-    },
-    "rpi": {
-        "compute_speed": 0.15,
-        "memory_bytes": 128 * 1024**2,
-        "bandwidth_bps": 3.125e6,
-        "latency_s": 0.010,
-    },
-}
 
 
 class DeviceFleet:

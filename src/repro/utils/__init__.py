@@ -5,30 +5,17 @@ that every other subpackage (``repro.mqtt``, ``repro.ml``, ``repro.core``,
 ``repro.sim``) can import them without creating cycles.
 """
 
-from repro.utils.rng import SeedSequenceFactory, derive_seed, rng_from_seed
-from repro.utils.bytesize import human_bytes, parse_bytes
-from repro.utils.timing import Stopwatch, format_duration
-from repro.utils.identifiers import make_client_id, make_correlation_id, make_session_id
-from repro.utils.validation import (
-    require,
-    require_positive,
-    require_in_range,
-    require_type,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SeedSequenceFactory",
-    "derive_seed",
-    "rng_from_seed",
-    "human_bytes",
-    "parse_bytes",
-    "Stopwatch",
-    "format_duration",
-    "make_client_id",
-    "make_correlation_id",
-    "make_session_id",
-    "require",
-    "require_positive",
-    "require_in_range",
-    "require_type",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.utils.rng": ("SeedSequenceFactory", "derive_seed", "rng_from_seed"),
+        "repro.utils.bytesize": ("human_bytes", "parse_bytes"),
+        "repro.utils.timing": ("Stopwatch", "format_duration"),
+        "repro.utils.identifiers": ("make_client_id", "make_correlation_id", "make_session_id"),
+        "repro.utils.validation": (
+            "require", "require_positive", "require_in_range", "require_type",
+        ),
+    },
+)

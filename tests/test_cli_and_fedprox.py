@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,46 @@ class TestCLIParser:
             "aggregator-fraction", "payload-compression", "role-rearrangement",
             "broker-bridging", "topologies", "aggregation-strategies",
         }
+
+
+class TestSpecFileErrors:
+    """``--spec FILE`` mistakes are one stderr line and exit 2 on both verbs."""
+
+    @pytest.fixture(params=["run", "grid"])
+    def verb(self, request):
+        return request.param
+
+    def _fails(self, capsys, argv, expected):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert expected in captured.err and len(captured.err.splitlines()) == 1
+
+    def test_missing_file(self, verb, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        self._fails(capsys, ["scenario", verb, "--spec", missing, "--no-store"],
+                    f"cannot read spec file {missing}: No such file or directory")
+
+    def test_malformed_json(self, verb, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"name": ')
+        self._fails(capsys, ["scenario", verb, "--spec", str(path), "--no-store"],
+                    f"{path} is not valid JSON")
+
+    def test_invalid_spec(self, verb, tmp_path, capsys):
+        scenario = {"name": "bad", "fleet": {"num_clients": 0}}
+        document = scenario if verb == "run" else {
+            "name": "bad-grid", "base": scenario, "axes": {"seed": [1]}
+        }
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(document))
+        self._fails(capsys, ["scenario", verb, "--spec", str(path), "--no-store"],
+                    f"{path} is not a valid spec: num_clients must be >= 1")
+
+    def test_name_and_spec_together(self, verb, tmp_path, capsys):
+        name = "baseline" if verb == "run" else "codec-compare"
+        self._fails(capsys, ["scenario", verb, name, "--spec", str(tmp_path / "x.json")],
+                    "give a registry name or --spec FILE, not both")
 
 
 class TestCLICommands:

@@ -101,7 +101,8 @@ class TestParseCodecSpec:
         parsed, stages = parse_codec_spec(spec)
         assert parsed == canonical
         assert make_update_codec(spec).spec == canonical
-        assert [s.rank for s in stages] == sorted(s.rank for s in stages)
+        ranks = [available_codecs().index(s.name) for s in stages]
+        assert ranks == sorted(ranks)
 
     @pytest.mark.parametrize(
         "spec, match",

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml.data import ArrayDataset, DataLoader, train_test_split
-from repro.ml.datasets import SyntheticDigitsConfig, make_gaussian_blobs, synthetic_digits
+from repro.ml.datasets import (
+    SyntheticDigitsConfig,
+    _smooth_prototype,
+    make_gaussian_blobs,
+    synthetic_digits,
+)
 from repro.ml.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.ml.models import ClassifierModel, make_paper_mlp
 from repro.ml.partition import dirichlet_partition, fraction_subsample, iid_partition, shard_partition
@@ -20,6 +25,7 @@ from repro.ml.state import (
     unflatten_state_dict,
     zeros_like_state_dict,
 )
+from repro.utils.rng import rng_from_seed
 
 
 class TestArrayDataset:
@@ -98,6 +104,25 @@ class TestTrainTestSplit:
             train_test_split(ds, test_fraction=0.0)
 
 
+def _synthetic_digits_by_rolling(config: SyntheticDigitsConfig) -> ArrayDataset:
+    """The generator as first written: one ``np.roll`` per sample (the reference)."""
+    rng = rng_from_seed(config.seed, "synthetic_digits")
+    side = config.side
+    prototypes = np.stack([_smooth_prototype(rng, side) for _ in range(config.num_classes)])
+    labels = rng.integers(0, config.num_classes, size=config.num_samples)
+    features = np.empty((config.num_samples, side * side), dtype=np.float64)
+    shifts = rng.integers(-config.max_shift, config.max_shift + 1, size=(config.num_samples, 2))
+    scales = rng.uniform(0.8, 1.2, size=config.num_samples)
+    noise = rng.normal(0.0, config.noise, size=(config.num_samples, side, side))
+    for i in range(config.num_samples):
+        shifted = np.roll(prototypes[labels[i]], shift=(shifts[i, 0], shifts[i, 1]), axis=(0, 1))
+        features[i] = (scales[i] * shifted + noise[i]).ravel()
+    std = features.std()
+    if std > 0:
+        features = (features - features.mean()) / std
+    return ArrayDataset(features, labels.astype(np.int64))
+
+
 class TestSyntheticDigits:
     def test_deterministic_for_seed(self):
         a = synthetic_digits(SyntheticDigitsConfig(num_samples=100, seed=1))
@@ -120,6 +145,16 @@ class TestSyntheticDigits:
         ds = synthetic_digits(SyntheticDigitsConfig(num_samples=500, seed=0))
         assert abs(ds.features.mean()) < 1e-8
         assert ds.features.std() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("num_samples, side, max_shift", [(257, 16, 2), (64, 8, 7), (50, 5, 0)])
+    def test_gather_equals_the_per_sample_roll_loop(self, num_samples, side, max_shift):
+        config = SyntheticDigitsConfig(
+            num_samples=num_samples, side=side, max_shift=max_shift, seed=11
+        )
+        reference = _synthetic_digits_by_rolling(config)
+        dataset = synthetic_digits(config)
+        np.testing.assert_array_equal(dataset.features, reference.features)
+        np.testing.assert_array_equal(dataset.labels, reference.labels)
 
     def test_learnable_by_small_mlp(self, digits_split):
         train, test = digits_split

@@ -187,8 +187,26 @@ class TestRegistry:
         assert [row["name"] for row in rows] == scenario_names()
         assert all(row["clients"] >= 1 and row["rounds"] >= 1 for row in rows)
 
+    def test_a_named_builder_runs_at_get_scenario_not_at_registration(self, monkeypatch):
+        from repro.scenarios import register_scenario, registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return ScenarioSpec(name="deferred", seed=3)
+
+        assert register_scenario(builder, name="deferred") == "deferred"
+        assert "deferred" in scenario_names() and not calls
+        assert get_scenario("deferred") is not get_scenario("deferred")
+        assert len(calls) == 2
+        # Without a name the builder must run once, to read it.
+        assert register_scenario(builder) == "deferred" and len(calls) == 3
+
     def test_registry_specs_validate_and_compile_config(self):
         for name in scenario_names():
+            assert get_scenario(name).name == name
             config = build_experiment_config(get_scenario(name))
             assert isinstance(config, ExperimentConfig)
             assert config.record_delivery_trace

@@ -30,6 +30,8 @@ from repro.scenarios import (
     SweepSpec,
     TrainingSpec,
     canonical_json,
+    get_grid,
+    get_scenario,
     spec_hash,
     sweep_hash,
 )
@@ -310,6 +312,24 @@ class TestRunWithStore:
         assert cached.signature == fresh.signature
         assert ScenarioRunner.format_rounds(cached) == ScenarioRunner.format_rounds(fresh)
         assert ScenarioRunner.format_summary([cached]) == ScenarioRunner.format_summary([fresh])
+
+    def test_content_addresses_are_the_ones_pr14_wrote(self):
+        # A store filled by the previous commit (d5c11d2, RESULTS_REVISION 2)
+        # must be served warm: the keys it wrote are the keys looked up now.
+        assert store_module.RESULTS_REVISION == 2
+        assert spec_hash(get_scenario("baseline")) == (
+            "3514851f35aebfdd2fbdb0d466b57fd0dd858a29d86e36bc3ed549c88854c74a"
+        )
+        assert spec_hash(get_scenario("degraded-wan-int8")) == (
+            "67d7374bfc6b3fcb91bf3c6dade13c51c61533952dc4e5a799f0c4ff4de22ecc"
+        )
+        grid = get_grid("codec-compare")
+        assert sweep_hash(grid) == (
+            "336a2d3e74696ff5f2c5d28177d30ed7528b5df5b141295c98a9d344826f079d"
+        )
+        assert [spec_hash(cell.spec)[:8] for cell in grid.cells()[:3]] == [
+            "14b48feb", "a64b6ef7", "686a7d68",
+        ]
 
     def test_row_written_under_the_previous_revision_is_not_served(self, store, monkeypatch):
         # A change that moves signatures bumps RESULTS_REVISION; what the store

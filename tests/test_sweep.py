@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -245,6 +247,49 @@ class TestGridRegistry:
     def test_unknown_grid_raises_with_options(self):
         with pytest.raises(KeyError, match="deadline-tier-mix"):
             get_grid("no-such-grid")
+
+    def test_a_named_builder_runs_once_at_the_first_get_grid(self, monkeypatch):
+        from repro.scenarios import register_grid, sweep
+
+        monkeypatch.setattr(sweep, "_GRID_BUILDERS", dict(sweep._GRID_BUILDERS))
+        monkeypatch.setattr(sweep, "_GRIDS", dict(sweep._GRIDS))
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return _sweep((AxisSpec("seed", (1, 2)),), name="deferred-grid")
+
+        assert register_grid(builder, name="deferred-grid") == "deferred-grid"
+        assert "deferred-grid" in grid_names() and not calls
+        assert get_grid("deferred-grid") is get_grid("deferred-grid")
+        assert len(calls) == 1
+        # Re-registering drops the memoised sweep; without a name the builder
+        # runs at once, to read it.
+        register_grid(builder, name="deferred-grid")
+        assert len(calls) == 1
+        assert register_grid(builder) == "deferred-grid" and len(calls) == 2
+        assert get_grid("deferred-grid").name == "deferred-grid" and len(calls) == 2
+
+    def test_importing_and_listing_names_builds_no_spec(self):
+        # A fresh interpreter: this process has long since expanded the grids.
+        code = (
+            "import repro.scenarios.spec as spec\n"
+            "built = []\n"
+            "validate = spec.ScenarioSpec.__post_init__\n"
+            "def counting(self):\n"
+            "    built.append(self.name)\n"
+            "    validate(self)\n"
+            "spec.ScenarioSpec.__post_init__ = counting\n"
+            "from repro.scenarios import registry, sweep\n"
+            "assert len(registry.scenario_names()) == 9 and len(sweep.grid_names()) == 3\n"
+            "assert not built, built\n"
+            "assert len(sweep.get_grid('codec-compare').cells()) == 15 and built\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_summaries_cover_every_grid(self):
         rows = grid_summaries()
