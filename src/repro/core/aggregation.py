@@ -313,20 +313,25 @@ def _streaming_weighted_sum(
 class AggregationStrategy:
     """Base class: subclasses implement :meth:`reduce` over a stacked matrix.
 
-    The default :meth:`aggregate` stacks the K×D matrix and calls
+    The default :meth:`_reduce_flat` stacks the K×D matrix and calls
     :meth:`reduce` — the path the order-sensitive robust strategies need.
-    Mean-family subclasses override :meth:`aggregate` with the streaming
-    accumulation and keep :meth:`reduce` as the reference (and
-    directly-callable) matrix implementation.
+    Mean-family subclasses override it with the streaming accumulation and
+    keep :meth:`reduce` as the reference (and directly-callable) matrix
+    implementation; :meth:`aggregate` splits either result into leaves.
     """
 
     name = "base"
 
-    def aggregate(self, contributions: Sequence[ModelContribution]) -> StateDict:
-        """Aggregate contributions into a single state dict."""
+    def aggregate(
+        self, contributions: Sequence[ModelContribution], dtype: np.dtype | str = np.float64
+    ) -> StateDict:
+        """Aggregate (always in ``float64``) into one state dict with ``dtype`` leaves."""
+        return unflatten_state_dict(*self._reduce_flat(contributions), dtype)
+
+    def _reduce_flat(self, contributions: Sequence[ModelContribution]) -> Tuple[np.ndarray, list]:
+        """The reduced ``float64`` vector and the spec that splits it."""
         matrix, weights, spec = _stack_contributions(contributions)
-        reduced = self.reduce(matrix, weights)
-        return unflatten_state_dict(reduced, spec)
+        return self.reduce(matrix, weights), spec
 
     def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Reduce a ``(num_models, num_params)`` matrix to a single vector."""
@@ -341,11 +346,11 @@ class FedAvg(AggregationStrategy):
 
     name = "fedavg"
 
-    def aggregate(self, contributions: Sequence[ModelContribution]) -> StateDict:
+    def _reduce_flat(self, contributions: Sequence[ModelContribution]) -> Tuple[np.ndarray, list]:
         """Streaming weighted mean: in-place multiply-add, no K×D matrix."""
         accumulator, weights, spec = _streaming_weighted_sum(contributions, weighted=True)
         accumulator /= np.sum(weights)
-        return unflatten_state_dict(accumulator, spec)
+        return accumulator, spec
 
     def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.average(matrix, axis=0, weights=weights)
@@ -356,11 +361,11 @@ class UniformAverage(AggregationStrategy):
 
     name = "mean"
 
-    def aggregate(self, contributions: Sequence[ModelContribution]) -> StateDict:
+    def _reduce_flat(self, contributions: Sequence[ModelContribution]) -> Tuple[np.ndarray, list]:
         """Streaming unweighted mean: in-place adds, no K×D matrix."""
         accumulator, _weights, spec = _streaming_weighted_sum(contributions, weighted=False)
         accumulator /= float(len(contributions))
-        return unflatten_state_dict(accumulator, spec)
+        return accumulator, spec
 
     def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return matrix.mean(axis=0)
@@ -412,11 +417,11 @@ class FedAvgMomentum(AggregationStrategy):
         self._velocity: Optional[np.ndarray] = None
         self._previous: Optional[np.ndarray] = None
 
-    def aggregate(self, contributions: Sequence[ModelContribution]) -> StateDict:
+    def _reduce_flat(self, contributions: Sequence[ModelContribution]) -> Tuple[np.ndarray, list]:
         """Streaming FedAvg average, then the server-momentum update."""
         accumulator, weights, spec = _streaming_weighted_sum(contributions, weighted=True)
         accumulator /= np.sum(weights)
-        return unflatten_state_dict(self._momentum_update(accumulator), spec)
+        return self._momentum_update(accumulator), spec
 
     def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return self._momentum_update(np.average(matrix, axis=0, weights=weights))

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.aggregation import (
     AggregationStrategy,
     ContributionBuffer,
@@ -681,8 +683,11 @@ class SDFLMQClient:
         if contributions is None:
             return
 
+        # The aggregate leaves in the dtype its contributions arrived in, so a
+        # relayed partial and the global are no wider than one upload.
+        leaf_dtypes = {np.asarray(leaf).dtype for c in contributions for leaf in c.state.values()}
         strategy = self._aggregator_for(session_id)
-        aggregated = strategy.aggregate(contributions)
+        aggregated = strategy.aggregate(contributions, np.result_type(*leaf_dtypes))
         total_weight = sum(c.weight for c in contributions)
         round_index = max(c.round_index for c in contributions)
         self.bytes_aggregated += sum(c.nbytes for c in contributions)

@@ -44,6 +44,7 @@ from repro.core.topics import (
 )
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
+from repro.mqttfc.compression import CompressionConfig
 from repro.mqttfc.rfc import FleetControlEndpoint
 from repro.sim.events import EventLog
 
@@ -82,12 +83,13 @@ class Coordinator:
         policy: Optional[RoleOptimizationPolicy] = None,
         client_id: str = COORDINATOR_ID,
         event_log: Optional[EventLog] = None,
+        compression: Optional[CompressionConfig] = None,
     ) -> None:
         self.config = config or CoordinatorConfig()
         self.client_id = client_id
         self.mqtt = MQTTClient(client_id)
         self.mqtt.connect(broker)
-        self.endpoint = FleetControlEndpoint(self.mqtt)
+        self.endpoint = FleetControlEndpoint(self.mqtt, compression=compression)
         self.endpoint.start()
         self.event_log = event_log
         self.load_balancer = LoadBalancer(

@@ -8,7 +8,8 @@ pipeline always observe a consistent view of "the model for session X":
 * ``register`` binds a :class:`~repro.ml.models.ClassifierModel` to a session;
 * ``snapshot_local`` captures the post-training parameters for upload (cast to
   the wire dtype, ``float32`` by default, to halve payload sizes exactly as a
-  real deployment would);
+  real deployment would) — the one place that dtype is stated: relayed
+  aggregates and broadcast globals ship in the dtype the uploads arrived in;
 * ``apply_global`` installs a received global model and bumps the version the
   client observes, which is what ``wait_global_update`` polls.
 """
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.core.errors import ModelNotRegisteredError
 from repro.ml.models import ClassifierModel
@@ -126,9 +125,8 @@ class ModelController:
         record = self.record(session_id)
         if round_index <= record.last_global_round:
             return record.global_version
-        # Cast back to the model's native dtype before loading.
-        native = {k: np.asarray(v, dtype=np.float64) for k, v in state.items()}
-        record.model.load_state_dict(native)
+        # load_state_dict casts into the live (float64) parameter arrays.
+        record.model.load_state_dict(state)
         record.global_version += 1
         record.last_global_round = int(round_index)
         return record.global_version

@@ -23,6 +23,7 @@ from repro.core.topics import (
 from repro.ml.state import StateDict, state_dict_nbytes
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
+from repro.mqttfc.compression import CompressionConfig
 from repro.mqttfc.rfc import FleetControlEndpoint
 from repro.sim.events import EventLog
 
@@ -55,11 +56,12 @@ class ParameterServer:
         client_id: str = PARAMETER_SERVER_ID,
         notify_coordinator: bool = True,
         event_log: Optional[EventLog] = None,
+        compression: Optional[CompressionConfig] = None,
     ) -> None:
         self.client_id = client_id
         self.mqtt = MQTTClient(client_id)
         self.mqtt.connect(broker)
-        self.endpoint = FleetControlEndpoint(self.mqtt)
+        self.endpoint = FleetControlEndpoint(self.mqtt, compression=compression)
         self.endpoint.start()
         self.notify_coordinator = bool(notify_coordinator)
         self.event_log = event_log

@@ -17,8 +17,8 @@ but complete machinery to do the same at laptop scale:
 * :mod:`repro.ml.metrics` — accuracy and related metrics.
 
 All arrays are ``float64`` by default for numerical robustness in tests, with
-``float32`` used on the wire (see :mod:`repro.core.model_controller`) to keep
-payload sizes realistic.
+``float32`` used on the wire — uploads, relayed aggregates and globals alike
+(see :mod:`repro.core.model_controller`) — to keep payload sizes realistic.
 """
 
 from repro._lazy import lazy_exports

@@ -59,10 +59,13 @@ def flatten_state_dict(state: StateDict) -> Tuple[np.ndarray, List[Tuple[str, Tu
 
 
 def unflatten_state_dict(
-    vector: np.ndarray, spec: List[Tuple[str, Tuple[int, ...]]]
+    vector: np.ndarray, spec: List[Tuple[str, Tuple[int, ...]]], dtype: np.dtype | str = np.float64
 ) -> StateDict:
-    """Rebuild a state dict from a flat vector and the spec from flattening."""
-    vector = np.asarray(vector, dtype=np.float64).ravel()
+    """Rebuild a state dict from a flat vector and the spec from flattening.
+
+    Every leaf is a fresh ``dtype`` array, cast while the vector is split.
+    """
+    vector = np.asarray(vector).ravel()
     expected = sum(int(np.prod(shape)) if shape else 1 for _, shape in spec)
     if vector.size != expected:
         raise ValueError(f"flat vector has {vector.size} entries, spec expects {expected}")
@@ -70,7 +73,7 @@ def unflatten_state_dict(
     offset = 0
     for name, shape in spec:
         size = int(np.prod(shape)) if shape else 1
-        out[name] = vector[offset : offset + size].reshape(shape).copy()
+        out[name] = vector[offset : offset + size].reshape(shape).astype(dtype)
         offset += size
     return out
 

@@ -13,12 +13,12 @@ so the receiver never needs out-of-band knowledge of what the sender did.
 
 LZ77 match search finds nothing in float mantissas; what a float tensor has
 to give sits in its sign/exponent bytes, which the transpose gathers into one
-low-entropy plane.  So a frame that is at least half leaves of 2- to 7-byte
-elements (float32 / float16 updates) is entropy-coded only
+low-entropy plane.  So a frame that is at least half leaves of multi-byte
+elements — every model frame on this wire: float32 uploads, relayed
+aggregates and globals, float16 updates — is entropy-coded only
 (``Z_HUFFMAN_ONLY``).  Anything else gets plain level 1: JSON topologies and
-uint8-quantised updates, and float64 aggregates, whose low mantissa bytes do
-repeat (:func:`_head_bytes`).  Every plane ends its deflate block, so each
-gets its own Huffman table.  The rule reads nothing but the frame.
+uint8-quantised updates.  Every plane ends its deflate block, so each gets
+its own Huffman table.  The rule reads nothing but the frame.
 Compression is skipped below a configurable size, and a result that is not
 smaller than the input is discarded for the raw flag — this matches the
 paper's "for larger payloads, a compression mechanism using zlib".
@@ -87,17 +87,6 @@ class CodedFrame(PayloadFrame):
         self.coding = coding
 
 
-def _head_bytes(itemsize: int) -> int:
-    """Leading bytes of each element that stay together as one plane.
-
-    None, except that an 8-byte element keeps its first three bytes adjacent:
-    in a float64 computed from float32 inputs (every aggregate on this wire)
-    they are a rounding residue that repeats as a *triple* across elements,
-    which LZ77 can match only while the three stay next to each other.
-    """
-    return 3 if itemsize == 8 else 0
-
-
 def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None) -> CodedFrame:
     """Wrap ``frame`` with the compression flag, compressing if worthwhile.
 
@@ -115,21 +104,16 @@ def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None)
     if not config.enabled or frame.nbytes < config.min_bytes:
         return CodedFrame([_FLAG_RAW, *frame.segments], "raw")
     parts: List[object] = []
-    shuffled, narrow = False, 0
+    wide = 0  # bytes in leaves of multi-byte elements
     for segment in frame.segments:
         leaf = segment.obj if isinstance(segment, memoryview) else None
         if not isinstance(leaf, np.ndarray) or leaf.itemsize == 1 or not segment.nbytes:
             parts.append(segment)
             continue
-        shuffled = True
-        if leaf.itemsize < 8:
-            narrow += segment.nbytes
+        wide += segment.nbytes
         items = np.frombuffer(segment, np.uint8).reshape(-1, leaf.itemsize)
-        head = _head_bytes(leaf.itemsize)
-        if head:
-            parts.append(np.ascontiguousarray(items[:, :head]))
-        parts.extend(np.ascontiguousarray(items[:, head:].T))  # one row per byte plane
-    huffman = 2 * narrow >= frame.nbytes
+        parts.extend(np.ascontiguousarray(items.T))  # one row per byte plane
+    huffman = 2 * wide >= frame.nbytes
     deflater = zlib.compressobj(
         1,
         zlib.DEFLATED,
@@ -146,7 +130,7 @@ def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None)
     if len(compressed) >= frame.nbytes:
         return CodedFrame([_FLAG_RAW, *frame.segments], "discarded")
     return CodedFrame(
-        [_FLAG_SHUFFLED if shuffled else _FLAG_ZLIB, compressed],
+        [_FLAG_SHUFFLED if wide else _FLAG_ZLIB, compressed],
         "huffman" if huffman else "level1",
     )
 
@@ -162,13 +146,7 @@ def _unshuffle(body: bytes) -> bytes:
     for start, stop, itemsize in spans:
         if itemsize == 1 or start == stop:
             continue
-        items = frame[start:stop].reshape(-1, itemsize)
-        head = _head_bytes(itemsize)
-        if head:
-            split = start + len(items) * head
-            items[:, :head] = planes[start:split].reshape(-1, head)
-            start = split
-        items[:, head:] = planes[start:stop].reshape(itemsize - head, -1).T
+        frame[start:stop].reshape(-1, itemsize)[:] = planes[start:stop].reshape(itemsize, -1).T
     return frame.tobytes()
 
 

@@ -387,17 +387,21 @@ class FLExperiment:
             auto_start_when_full=True,
             rebalance_every_round=config.rebalance_every_round,
         )
+        # One switch for every endpoint: coordinator, parameter server, clients.
+        compression = CompressionConfig(enabled=config.compression_enabled)
         self.coordinator = Coordinator(
             self.broker,
             config=coordinator_config,
             policy=get_policy(config.role_policy),
             event_log=self.event_log,
+            compression=compression,
         )
-        self.parameter_server = ParameterServer(self.broker, event_log=self.event_log)
+        self.parameter_server = ParameterServer(
+            self.broker, event_log=self.event_log, compression=compression
+        )
         self.pump.register(self.coordinator.mqtt)
         self.pump.register(self.parameter_server.mqtt)
 
-        compression = CompressionConfig(enabled=config.compression_enabled)
         initial = config.initial_clients or config.num_clients
         for index in range(config.num_clients):
             client_id = self._client_id(index)

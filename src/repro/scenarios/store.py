@@ -63,7 +63,9 @@ SCHEMA_VERSION = 1
 #: numerics revision): rows written before it then miss once and age out
 #: through ``store gc`` instead of serving the previous revision's results.
 #: 2 — PR 14, byte-plane compression changed wire sizes and sim-time delays.
-RESULTS_REVISION = 2
+#: 3 — PR 16, aggregates and globals ship in the uploads' dtype (float32);
+#: ``compression_enabled`` reaches the coordinator and parameter server.
+RESULTS_REVISION = 3
 
 #: Environment variable naming the default database location.
 STORE_ENV_VAR = "REPRO_STORE"

@@ -22,20 +22,23 @@ from repro.core.role_optimizers import RoundRobinPolicy
 from repro.core.roles import Role
 from repro.core.session import SessionState
 from repro.ml.models import ClassifierModel, make_mlp
-from repro.ml.state import state_dicts_allclose
+from repro.ml.state import cast_state_dict, state_dict_nbytes, state_dicts_allclose
 from repro.mqtt.broker import MQTTBroker
 from repro.runtime.pump import MessagePump
+from repro.sim.resources import ResourceAccountant
 
 SESSION = "itest"
 
 
 def build_stack(broker, num_clients, policy="hierarchical", fraction=0.3, fl_rounds=2,
-                role_policy=None, rebalance=True):
+                role_policy=None, rebalance=True, aggregators_train=True, resources=None):
     pump = MessagePump()
     coordinator = Coordinator(
         broker,
         config=CoordinatorConfig(
-            clustering=ClusteringConfig(policy=policy, aggregator_fraction=fraction),
+            clustering=ClusteringConfig(
+                policy=policy, aggregator_fraction=fraction, aggregators_train=aggregators_train
+            ),
             rebalance_every_round=rebalance,
         ),
         policy=role_policy,
@@ -46,10 +49,13 @@ def build_stack(broker, num_clients, policy="hierarchical", fraction=0.3, fl_rou
 
     clients, models = [], {}
     for index in range(num_clients):
-        client = SDFLMQClient(f"client_{index:03d}", broker=broker, pump=pump.run_until_idle)
+        client_id = f"client_{index:03d}"
+        if resources is not None:
+            resources.register_device(client_id, 10**7)
+        client = SDFLMQClient(client_id, broker=broker, pump=pump.run_until_idle, resources=resources)
         pump.register(client.mqtt)
         clients.append(client)
-        models[client.client_id] = ClassifierModel(make_mlp(12, (6,), 4, seed=42), name="mlp")
+        models[client_id] = ClassifierModel(make_mlp(12, (6,), 4, seed=42), name="mlp")
 
     clients[0].create_fl_session(
         session_id=SESSION, fl_rounds=fl_rounds, model_name="mlp",
@@ -60,7 +66,8 @@ def build_stack(broker, num_clients, policy="hierarchical", fraction=0.3, fl_rou
     pump.run_until_idle()
 
     for index, client in enumerate(clients):
-        client.set_model(SESSION, models[client.client_id], num_samples=10 * (index + 1))
+        if client.role(SESSION).trains:  # an aggregator-only client holds no model
+            client.set_model(SESSION, models[client.client_id], num_samples=10 * (index + 1))
     return pump, coordinator, server, clients, models
 
 
@@ -72,6 +79,7 @@ def perturb(model: ClassifierModel, offset: float) -> None:
 
 def run_round(pump, clients, models, offsets):
     uploads = {}
+    clients = [client for client in clients if client.role(SESSION).trains]
     for client, offset in zip(clients, offsets):
         perturb(models[client.client_id], offset)
         uploads[client.client_id] = {
@@ -125,6 +133,91 @@ class TestSingleRoundCorrectness:
         for key in expected:
             np.testing.assert_allclose(np.asarray(stored[key], dtype=np.float64), expected[key],
                                        rtol=1e-5, atol=1e-5)
+
+
+class RecordingFedAvg(FedAvg):
+    """FedAvg that logs, per aggregation, its inputs as ``(sender, nbytes)``."""
+
+    def __init__(self, log, owner):
+        self.log, self.owner = log, owner
+
+    def aggregate(self, contributions, dtype=np.float64):
+        self.log[self.owner] = [(c.sender_id, c.nbytes) for c in contributions]
+        return super().aggregate(contributions, dtype)
+
+
+def record_aggregations(clients):
+    log = {}
+    for client in clients:
+        client._aggregators[SESSION] = RecordingFedAvg(log, client.client_id)
+    return log
+
+
+class TestWireDtype:
+    """Aggregates leave an aggregator in the dtype the uploads arrived in."""
+
+    def test_three_tier_global_is_the_float32_of_the_float64_reduction(self, broker):
+        pump, coordinator, server, clients, models = build_stack(broker, 10, fraction=0.5)
+        topology = coordinator.session(SESSION).topology
+        assert topology.num_levels == 3
+        log = record_aggregations(clients)
+        uploads = run_round(pump, clients, models, offsets=np.linspace(0.1, 1.0, 10))
+        wire = {
+            cid: ModelContribution(cast_state_dict(u["state"], "float32"), u["weight"], cid)
+            for cid, u in uploads.items()
+        }
+
+        def relayed(cid):
+            """What ``cid`` sends up: float32 of the float64 mean of what it took in."""
+            if cid not in log:
+                return wire[cid]
+            inputs = [wire[s] if s == cid else relayed(s) for s, _nbytes in log[cid]]
+            state = cast_state_dict(FedAvg().aggregate(inputs), "float32")
+            return ModelContribution(state, sum(c.weight for c in inputs), cid)
+
+        stored = server.global_state(SESSION)
+        tiered = relayed(topology.root_id).state
+        flat = FedAvg().aggregate(list(wire.values()))
+        assert sorted(log) == topology.aggregator_ids
+        for key, value in stored.items():
+            assert value.dtype == np.float32
+            np.testing.assert_array_equal(value, tiered[key])
+            np.testing.assert_allclose(value, flat[key], rtol=1e-6)
+
+    def test_relayed_aggregate_is_charged_like_one_upload(self, broker):
+        resources = ResourceAccountant()
+        pump, coordinator, _, clients, models = build_stack(
+            broker, 10, fraction=0.5, resources=resources
+        )
+        log = record_aggregations(clients)
+        uploads = run_round(pump, clients, models, offsets=np.zeros(10))
+        upload_nbytes = state_dict_nbytes(cast_state_dict(uploads["client_000"]["state"], "float32"))
+        topology = coordinator.session(SESSION).topology
+        assert any(topology.node(child).role.aggregates for child in topology.children_of(topology.root_id))
+        for aggregator, inputs in log.items():
+            assert {nbytes for _sender, nbytes in inputs} == {upload_nbytes}
+            # Peers are charged while buffered, the aggregator's own update is not.
+            assert resources.high_water(aggregator) == upload_nbytes * topology.node(aggregator).fan_in
+        assert all(resources.in_use(client.client_id) == 0 for client in clients)
+
+    def test_aggregator_without_a_model_relays_float32(self, broker):
+        pump, coordinator, server, clients, models = build_stack(
+            broker, 5, fraction=0.4, aggregators_train=False
+        )
+        topology = coordinator.session(SESSION).topology
+        relays = [c for c in clients if c.role(SESSION) is Role.AGGREGATOR]
+        assert len(relays) == 2 and not any(c.models.has_model(SESSION) for c in relays)
+        log = record_aggregations(clients)
+        uploads = run_round(pump, clients, models, offsets=np.linspace(0.1, 0.3, 3))
+        upload_nbytes = state_dict_nbytes(cast_state_dict(uploads["client_002"]["state"], "float32"))
+        # The root took in exactly one frame: the inner relay's partial aggregate.
+        assert log[topology.root_id] == [(topology.children_of(topology.root_id)[0], upload_nbytes)]
+        assert all(value.dtype == np.float32 for value in server.global_state(SESSION).values())
+
+    def test_float64_contributions_still_aggregate_to_float64(self):
+        states = [{"w": np.full(3, value)} for value in (1.0, 2.0)]
+        result = FedAvg().aggregate([ModelContribution(state) for state in states])
+        assert result["w"].dtype == np.float64
 
 
 class TestMultiRoundProtocol:

@@ -215,7 +215,7 @@ class TestBytePlanes:
         coding = lambda obj: compress_frame(encode_payload_frame(obj)).coding
         assert coding({"w": update}) == "huffman"
         assert coding({"w": update.astype(np.float16)}) == "huffman"
-        assert coding({"w": aggregate}) == "level1"
+        assert coding({"w": aggregate}) == "huffman"  # 8-byte leaves follow the same rule
         assert coding({"w": quantised, "scale": np.float32(0.1)}) == "level1"
         assert coding({"w": update, "pad": np.zeros(40_000, np.uint8)}) == "level1"
 

@@ -273,7 +273,7 @@ class TestCodingCounters:
         for payload in payloads:
             caller.call("server", "take", payload)
         pump.run_until_idle()
-        assert self._codings(caller.stats) == (1, 1, 2, 1)
+        assert self._codings(caller.stats) == (1, 2, 1, 1)
         assert self._codings(server.stats) == (len(payloads), 0, 0, 0)  # compression off
         caller.reset_stats()
         assert self._codings(caller.stats) == (0, 0, 0, 0)

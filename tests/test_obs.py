@@ -317,8 +317,9 @@ class TestRunnerFlightRecorder:
 
     def test_registry_trace_is_pinned_across_receive_path_changes(self, tmp_path, capsys):
         """``scenario run degraded-wan --seed 7 --no-store --trace D`` as the
-        PR 14 wire revision wrote it: a receive-side change (sharing an
-        inflate, un-shuffling once) must not move one sim-time trace line."""
+        PR 16 wire revision (float32 aggregates and globals) wrote it: a
+        receive-side change (sharing an inflate, un-shuffling once) must not
+        move one sim-time trace line."""
         from repro.cli import main
 
         assert main(["scenario", "run", "degraded-wan", "--seed", "7", "--no-store",
@@ -326,7 +327,7 @@ class TestRunnerFlightRecorder:
         capsys.readouterr()
         trace = (tmp_path / "degraded-wan_7.trace.jsonl").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == (
-            "cae9e6aaede69a48752c17a74c928702b4bc87d6b676a8aa4f9939d9690cadcc"
+            "ee691a666b8805a49915bd65f6bbe50f8a7c72ff968fdaca8fd9a2055dad4ecc"
         )
 
     def test_trace_contains_delivery_and_round_phase_spans(self, tmp_path):
@@ -347,9 +348,22 @@ class TestRunnerFlightRecorder:
         payload = json.loads(json.dumps(result.to_payload()))
         assert payload["metrics"] == metrics
 
+    @staticmethod
+    def _control_fleet(compression_enabled):
+        return ScenarioSpec(
+            name="control-fleet",
+            seed=42,
+            fleet=FleetSpec(num_clients=48),
+            topology=TopologySpec(regions=3, role_policy="static"),
+            training=TrainingSpec(
+                rounds=3, train_for_real=False, round_deadline_s=None,
+                compression_enabled=compression_enabled,
+            ),
+        )
+
     def test_shared_inflate_counters_on_a_control_fleet(self, monkeypatch):
-        """48 clients over 3 bridged regions, no training, clients send raw:
-        every compressed publish is inflated by exactly one of its receivers."""
+        """48 clients over 3 bridged regions, no training, zlib on: every
+        compressed publish is inflated by exactly one of its receivers."""
         compressed_publishes = []
         real = rfc.compress_frame
 
@@ -360,29 +374,37 @@ class TestRunnerFlightRecorder:
             return result
 
         monkeypatch.setattr(rfc, "compress_frame", counting)
-        spec = ScenarioSpec(
-            name="control-fleet",
-            seed=42,
-            fleet=FleetSpec(num_clients=48),
-            topology=TopologySpec(regions=3, role_policy="static"),
-            training=TrainingSpec(
-                rounds=3, train_for_real=False, compression_enabled=False, round_deadline_s=None
-            ),
-        )
+        spec = self._control_fleet(compression_enabled=True)
         first = ScenarioRunner().run(spec).metrics["gauges"]
         published = len(compressed_publishes)
         second = ScenarioRunner().run(spec).metrics["gauges"]
         assert published > 0 and len(compressed_publishes) == 2 * published
         assert first["endpoint_frames_inflated"] == published
-        assert first["endpoint_inflates_shared"] > 10 * published  # 48-way fan-out
-        # Only the float64 global broadcast and the JSON topology deflate.
-        assert first["endpoint_frames_sent_level1"] == published
-        assert first["endpoint_frames_sent_huffman"] == 0
+        assert first["endpoint_inflates_shared"] > 10 * first["endpoint_frames_sent_level1"]  # 48-way fan-out
+        # Every model frame (uploads, relayed aggregates, globals) is float32
+        # and entropy-coded only; the JSON topologies take level 1.
+        assert first["endpoint_frames_sent_huffman"] > first["endpoint_frames_sent_level1"] > 0
+        assert first["endpoint_frames_sent_huffman"] + first["endpoint_frames_sent_level1"] == published
         assert first["endpoint_frames_deflate_discarded"] == 0
-        assert first["endpoint_frames_sent_raw"] > published
         for gauge in ("endpoint_frames_inflated", "endpoint_inflates_shared",
-                      "endpoint_frames_sent_level1", "endpoint_frames_sent_raw"):
+                      "endpoint_frames_sent_huffman", "endpoint_frames_sent_level1",
+                      "endpoint_frames_sent_raw"):
             assert second[gauge] == first[gauge]
+
+    def test_compression_off_reaches_every_endpoint(self, monkeypatch):
+        """The one switch: with ``compression_enabled=False`` no endpoint —
+        coordinator and parameter server included — deflates anything."""
+        configs = []
+        real = rfc.compress_frame
+        monkeypatch.setattr(
+            rfc, "compress_frame", lambda frame, config=None: configs.append(config) or real(frame, config)
+        )
+        gauges = ScenarioRunner().run(self._control_fleet(compression_enabled=False)).metrics["gauges"]
+        assert configs and not any(config.enabled for config in configs)
+        assert gauges["endpoint_frames_sent_raw"] == len(configs)
+        assert (gauges["endpoint_frames_sent_huffman"] + gauges["endpoint_frames_sent_level1"]
+                + gauges["endpoint_frames_deflate_discarded"]) == 0
+        assert gauges["endpoint_frames_inflated"] == gauges["endpoint_inflates_shared"] == 0
 
     def test_untraced_run_attaches_no_tracer_cost_path(self):
         # The scheduler's tracer/histogram slots stay None-guarded when no

@@ -313,43 +313,47 @@ class TestRunWithStore:
         assert ScenarioRunner.format_rounds(cached) == ScenarioRunner.format_rounds(fresh)
         assert ScenarioRunner.format_summary([cached]) == ScenarioRunner.format_summary([fresh])
 
-    def test_content_addresses_are_the_ones_pr14_wrote(self):
-        # A store filled by the previous commit (d5c11d2, RESULTS_REVISION 2)
-        # must be served warm: the keys it wrote are the keys looked up now.
-        assert store_module.RESULTS_REVISION == 2
+    def test_content_addresses_are_the_ones_revision_3_writes(self):
+        # A store filled at RESULTS_REVISION 3 (PR 16) must be served warm by
+        # later commits: the keys it wrote are the keys looked up now.
+        assert store_module.RESULTS_REVISION == 3
         assert spec_hash(get_scenario("baseline")) == (
-            "3514851f35aebfdd2fbdb0d466b57fd0dd858a29d86e36bc3ed549c88854c74a"
+            "7c8ff39151f8c7886f1126b52facfcdca2cf945d48ee3742c8cd956fd0fe1f99"
         )
         assert spec_hash(get_scenario("degraded-wan-int8")) == (
-            "67d7374bfc6b3fcb91bf3c6dade13c51c61533952dc4e5a799f0c4ff4de22ecc"
+            "e4380e7509868433e7d7e15db8a8346e3ab0424062fd4f9ca541761b74946ebe"
         )
         grid = get_grid("codec-compare")
         assert sweep_hash(grid) == (
-            "336a2d3e74696ff5f2c5d28177d30ed7528b5df5b141295c98a9d344826f079d"
+            "31c3b5e74230bad80afea3638390c8b9e032291330e3b14b0e1593412b8cab0c"
         )
         assert [spec_hash(cell.spec)[:8] for cell in grid.cells()[:3]] == [
-            "14b48feb", "a64b6ef7", "686a7d68",
+            "be0c8e97", "b45b9202", "9a56682f",
         ]
 
     def test_row_written_under_the_previous_revision_is_not_served(self, store, monkeypatch):
         # A change that moves signatures bumps RESULTS_REVISION; what the store
-        # holds from before must miss (once) instead of serving old results.
+        # holds from before (revision 1 and PR 14's revision 2) must miss
+        # (once) instead of serving old results.
         spec, sweep = _tiny_base(), _small_sweep()
         current = store_module.RESULTS_REVISION
-        monkeypatch.setattr(store_module, "RESULTS_REVISION", current - 1)
-        old_key, old_sweep_key = spec_hash(spec), sweep_hash(sweep)
-        store.put_run(old_key, spec.seed, spec, "previous-revision", {"stale": True})
+        old_keys = {}
+        for previous in range(1, current):
+            monkeypatch.setattr(store_module, "RESULTS_REVISION", previous)
+            old_keys[spec_hash(spec)] = sweep_hash(sweep)
+            store.put_run(spec_hash(spec), spec.seed, spec, "previous-revision", {"stale": previous})
         monkeypatch.setattr(store_module, "RESULTS_REVISION", current)
-        assert spec_hash(spec) != old_key and sweep_hash(sweep) != old_sweep_key
+        assert len(old_keys) == 2 and spec_hash(spec) not in old_keys
+        assert sweep_hash(sweep) not in old_keys.values()
 
         runner = ScenarioRunner(store=store)
         fresh = runner.run(spec)
         assert not fresh.from_store and fresh.signature != "previous-revision"
         assert runner.store_hits == 0 and runner.store_misses == 1
         assert runner.run(spec).from_store  # the miss happens once
-        # The old row is still there for ``store gc`` to collect.
-        assert store.get_run(old_key, spec.seed).payload == {"stale": True}
-        assert store.gc(scenario=spec.name)["runs"] == 2
+        # The old rows are still there for ``store gc`` to collect.
+        assert [store.get_run(key, spec.seed).payload["stale"] for key in old_keys] == [1, 2]
+        assert store.gc(scenario=spec.name)["runs"] == 3
 
     def test_cached_signature_matches_a_storeless_runner(self, store):
         cached = ScenarioRunner(store=store)
