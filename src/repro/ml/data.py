@@ -94,17 +94,25 @@ class DataLoader:
             return n // self.batch_size
         return -(-n // self.batch_size) if n else 0
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = len(self.dataset)
-        order = np.arange(n)
+    def draw_order(self) -> np.ndarray:
+        """One epoch's sample order, advancing the generator when shuffling."""
+        order = np.arange(len(self.dataset))
         if self.shuffle:
             self.rng.shuffle(order)
+        return order
+
+    def batches(self, order: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The mini-batches of one epoch that visits the samples in ``order``."""
+        n = len(order)
         end = (n // self.batch_size) * self.batch_size if self.drop_last else n
         for start in range(0, end, self.batch_size):
             batch = order[start : start + self.batch_size]
             if self.drop_last and len(batch) < self.batch_size:
                 break
             yield self.dataset.features[batch], self.dataset.labels[batch]
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        return self.batches(self.draw_order())
 
 
 def train_test_split(

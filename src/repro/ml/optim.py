@@ -104,6 +104,20 @@ class SGD(Optimizer):
             param -= self.lr * update
 
 
+#: Two work arrays per parameter shape, shared by every :class:`Adam` in the
+#: process (a step leaves nothing in them): a fleet of per-client optimizers
+#: over one architecture needs one pair, not one pair each.
+_SCRATCH: Dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _scratch_pair(param: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    key = (param.shape, param.dtype)
+    pair = _SCRATCH.get(key)
+    if pair is None:
+        pair = _SCRATCH[key] = (np.empty_like(param), np.empty_like(param))
+    return pair
+
+
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba), the optimizer used in the paper's snippet."""
 
@@ -143,15 +157,28 @@ class Adam(Optimizer):
         for name, param in params.items():
             grad = self._proximal_grad(name, param, grads[name])
             grad = self._decay_into_grad(param, grad)
-            m = self._m.setdefault(name, np.zeros_like(param))
-            v = self._v.setdefault(name, np.zeros_like(param))
+            m = self._m.get(name)
+            if m is None:
+                m = self._m[name] = np.zeros_like(param)
+                self._v[name] = np.zeros_like(param)
+            v = self._v[name]
+            update, denom = _scratch_pair(param)
+            # Same operations in the same order as the allocating form
+            # ``param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
+            np.multiply(grad, 1.0 - self.beta1, out=update)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += update
+            np.square(grad, out=update)
+            update *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(grad)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += update
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            param -= update
 
     @property
     def step_count(self) -> int:

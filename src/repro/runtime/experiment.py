@@ -264,6 +264,9 @@ class FLExperiment:
         self.client_models: Dict[str, ClassifierModel] = {}
         self.client_datasets: Dict[str, ArrayDataset] = {}
         self.client_optimizers: Dict[str, Adam] = {}
+        #: Per client, its loader and the sample order of each local epoch
+        #: (index arrays only; see :meth:`_train_client`).
+        self._client_epochs: Dict[str, tuple[DataLoader, List[np.ndarray]]] = {}
         self.test_set: ArrayDataset
         self.delay_model: CriticalPathDelayModel
         self.cost_model: CostModel = cost_model or CostModel()
@@ -493,10 +496,16 @@ class FLExperiment:
     # ------------------------------------------------------------------- run
 
     def _train_client(self, client_id: str) -> float:
-        """Run the local training phase for one client; returns the mean loss."""
+        """Run the local training phase for one client; returns the mean loss.
+
+        The shuffle generator is a function of ``(seed, "loader", client)``
+        alone, so a client visits its samples in the same per-epoch orders
+        every round — the pinned behaviour every golden signature holds.  The
+        orders are therefore drawn once per client and kept as index arrays;
+        the batches themselves are gathered afresh each epoch.
+        """
         config = self.config
         model = self.client_models[client_id]
-        dataset = self.client_datasets[client_id]
         if not config.train_for_real:
             # Delay-focused experiments skip the numerics but keep the exact
             # messaging behaviour; a tiny deterministic perturbation keeps the
@@ -508,13 +517,18 @@ class FLExperiment:
         if config.proximal_mu > 0.0:
             # FedProx: anchor local training to the freshly synchronized global model.
             optimizer.set_proximal_reference(model.state_dict())
-        loader = DataLoader(
-            dataset,
-            batch_size=config.batch_size,
-            shuffle=True,
-            rng=self.seeds.generator("loader", client_id),
-        )
-        losses = [model.train_epoch(loader, optimizer) for _ in range(config.local_epochs)]
+        epochs = self._client_epochs.get(client_id)
+        if epochs is None:
+            loader = DataLoader(
+                self.client_datasets[client_id],
+                batch_size=config.batch_size,
+                shuffle=True,
+                rng=self.seeds.generator("loader", client_id),
+            )
+            epochs = loader, [loader.draw_order() for _ in range(config.local_epochs)]
+            self._client_epochs[client_id] = epochs
+        loader, orders = epochs
+        losses = [model.train_epoch(loader.batches(order), optimizer) for order in orders]
         return float(np.mean(losses))
 
     def run_round(self, round_index: int) -> RoundResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -104,3 +105,79 @@ def test_bare_import_loads_only_the_lazy_helper(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["repro", "repro._lazy"]
+
+
+# ------------------------------------------------- ``python -m repro`` exit
+#
+# ``__main__`` leaves through ``os._exit`` after a normal return, skipping
+# interpreter teardown: nothing the interpreter would have flushed, reaped or
+# written on the way out may go missing.
+
+
+def _buffered_env():
+    """The caller's environment with the streams left block-buffered."""
+    env = {k: v for k, v in os.environ.items() if k not in ("REPRO_STORE", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = SRC
+    return env
+
+
+def _repro(argv, cwd, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=cwd, env=_buffered_env(),
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120, start_new_session=True,
+    )
+
+
+def _main_in_process(argv, cwd) -> subprocess.CompletedProcess:
+    """The same command through ``cli.main`` and a full interpreter teardown."""
+    return _python(f"import sys; from repro.cli import main; sys.exit(main({list(argv)!r}))", cwd)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["scenario", "list"], 0), (["scenario", "run", "no-such-scenario"], 2)],
+    ids=["success", "usage-error"],
+)
+def test_module_entry_point_flushes_pipe_and_file_and_keeps_the_status(argv, status, tmp_path):
+    reference = _main_in_process(argv, tmp_path)
+    assert reference.returncode == status
+    piped = _repro(argv, tmp_path)
+    with open(tmp_path / "out.txt", "w+b") as handle:  # a file is block-buffered
+        filed = _repro(argv, tmp_path, stdout=handle)
+        handle.seek(0)
+        written = handle.read()
+    assert piped.returncode == filed.returncode == status
+    assert piped.stdout == written == reference.stdout.encode()
+    assert piped.stderr == filed.stderr == reference.stderr.encode()
+
+
+def test_module_entry_point_leaves_no_grid_worker_behind(tmp_path):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "scenario", "grid", "--spec", GRID_SPEC,
+         "--workers", "2", "--no-store"],
+        cwd=tmp_path, env=_buffered_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    stdout, stderr = child.communicate(timeout=120)
+    assert child.returncode == 0, stderr
+    reference = _main_in_process(child.args[3:], tmp_path).stdout.encode()
+    # Everything below the headline (which prints the wall time) is the run.
+    assert stdout.split(b"\n", 1)[1] == reference.split(b"\n", 1)[1]
+    # The child led its own session, so its pool workers were its process
+    # group: with the leader reaped, any survivor keeps the group alive.
+    try:
+        os.killpg(child.pid, 0)
+    except ProcessLookupError:
+        return
+    os.killpg(child.pid, signal.SIGKILL)
+    pytest.fail("a grid worker outlived `python -m repro`")
+
+
+def test_module_entry_point_writes_complete_trace_files(tmp_path):
+    argv = ["scenario", "run", "baseline", "--no-store", "--trace"]
+    assert _repro(argv + ["fast-exit"], tmp_path).returncode == 0
+    assert _main_in_process(argv + ["teardown"], tmp_path).returncode == 0
+    names = sorted(os.listdir(tmp_path / "teardown"))
+    assert len(names) == 3 and names == sorted(os.listdir(tmp_path / "fast-exit"))
+    for name in names:
+        assert (tmp_path / "fast-exit" / name).read_bytes() == (tmp_path / "teardown" / name).read_bytes()

@@ -80,6 +80,16 @@ class TestDataLoader:
         order_b = [labels.tolist() for _, labels in DataLoader(ds, 8, rng=np.random.default_rng(4))]
         assert order_a == order_b
 
+    def test_a_drawn_order_replays_the_epoch_it_stands_for(self):
+        ds = ArrayDataset(np.arange(30).reshape(30, 1), np.arange(30))
+        iterated = DataLoader(ds, 8, rng=np.random.default_rng(4))
+        replayed = DataLoader(ds, 8, rng=np.random.default_rng(4))
+        orders = [replayed.draw_order() for _ in range(2)]
+        assert not np.array_equal(*orders)  # the generator advanced
+        for order in orders:
+            for (features, labels), (again, labels_again) in zip(iterated, replayed.batches(order)):
+                assert np.array_equal(features, again) and np.array_equal(labels, labels_again)
+
     def test_no_shuffle_preserves_order(self):
         ds = ArrayDataset(np.arange(10).reshape(10, 1), np.arange(10))
         first_batch = next(iter(DataLoader(ds, 5, shuffle=False)))

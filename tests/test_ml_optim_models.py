@@ -94,6 +94,65 @@ class TestOptimizers:
         assert final < 0.1
 
 
+def _allocating_adam_step(optimizer, moments):
+    """``Adam.step`` as a chain of fresh arrays: the reference for the in-place form."""
+    optimizer._t += 1
+    bias1 = 1.0 - optimizer.beta1**optimizer._t
+    bias2 = 1.0 - optimizer.beta2**optimizer._t
+    grads = optimizer.model.parameter_grads()
+    for name, param in optimizer.model.parameters().items():
+        grad = grads[name]
+        m, v = moments.setdefault(name, (np.zeros_like(param), np.zeros_like(param)))
+        m *= optimizer.beta1
+        m += (1.0 - optimizer.beta1) * grad
+        v *= optimizer.beta2
+        v += (1.0 - optimizer.beta2) * np.square(grad)
+        param -= optimizer.lr * (m / bias1) / (np.sqrt(v / bias2) + optimizer.eps)
+
+
+class TestAdamInPlace:
+    def _twins(self):
+        """Two same-architecture models per side, stepped interleaved, so the
+        in-place side's optimizers contend for one scratch pair per shape."""
+        return [ClassifierModel(make_mlp(6, [5], 3, seed=seed)) for seed in (1, 2)]
+
+    def test_bit_identical_to_the_allocating_form(self):
+        dataset = make_gaussian_blobs(num_samples=96, num_features=6, num_classes=3, seed=0)
+        in_place, reference = self._twins(), self._twins()
+        optimizers = [Adam(model.network, lr=0.01) for model in in_place]
+        shadows = [Adam(model.network, lr=0.01) for model in reference]
+        moments = [{}, {}]
+        for _ in range(3):
+            for features, labels in DataLoader(dataset, 16, rng=np.random.default_rng(5)):
+                for index in range(2):
+                    for model, step in (
+                        (in_place[index], optimizers[index].step),
+                        (reference[index], lambda: _allocating_adam_step(shadows[index], moments[index])),
+                    ):
+                        model.network.zero_grad()
+                        model.loss_fn.forward(model.network.forward(features, training=True), labels)
+                        model.network.backward(model.loss_fn.backward())
+                        step()
+        for ours, theirs in zip(in_place, reference):
+            for name, value in ours.network.parameters().items():
+                assert np.array_equal(value, theirs.network.parameters()[name]), name
+
+    def test_moments_are_created_once_and_scratch_is_shared_per_shape(self):
+        first, second = (_quadratic_model() for _ in range(2))
+        a, b = Adam(first, lr=0.1), Adam(second, lr=0.1)
+        _step_quadratic(first, a, steps=1)
+        m, v = a._m["0.weight"], a._v["0.weight"]
+        _step_quadratic(first, a, steps=3)
+        _step_quadratic(second, b, steps=1)
+        assert a._m["0.weight"] is m and a._v["0.weight"] is v
+        assert b._m["0.weight"] is not m
+        from repro.ml.optim import _scratch_pair
+
+        assert _scratch_pair(first.parameters()["0.weight"])[0] is _scratch_pair(
+            second.parameters()["0.weight"]
+        )[0]
+
+
 class TestModelFactories:
     def test_make_mlp_shapes(self):
         model = make_mlp(input_dim=20, hidden_dims=(16, 8), num_classes=4, seed=0)

@@ -235,6 +235,32 @@ class TestFLExperiment:
         assert all(r.mean_train_loss == 0.0 for r in result.rounds)
         assert result.total_messages > 0
 
+    def test_cached_epoch_orders_train_exactly_like_a_loader_rebuilt_every_round(self, quick_config):
+        """Per-round-identical shuffles are the pinned behaviour: the generator
+        depends on ``(seed, "loader", client)`` only, so keeping its draws
+        changes no parameter and no loss."""
+        from dataclasses import replace
+
+        from repro.ml.data import DataLoader
+
+        config = replace(quick_config, local_epochs=2)
+        cached, rebuilt = FLExperiment(config).setup(), FLExperiment(config).setup()
+        client_id = cached.clients[0].client_id
+        for _ in range(3):
+            loss = cached._train_client(client_id)
+            loader = DataLoader(
+                rebuilt.client_datasets[client_id], batch_size=config.batch_size, shuffle=True,
+                rng=rebuilt.seeds.generator("loader", client_id),
+            )
+            model, optimizer = rebuilt.client_models[client_id], rebuilt.client_optimizers[client_id]
+            assert loss == float(np.mean([model.train_epoch(loader, optimizer) for _ in range(2)]))
+            for name, value in cached.client_models[client_id].state_dict().items():
+                assert np.array_equal(value, model.state_dict()[name]), name
+        _loader, orders = cached._client_epochs[client_id]
+        samples = len(cached.client_datasets[client_id])
+        assert [order.shape for order in orders] == [(samples,)] * 2  # indices, never batches
+        assert all(order.dtype.kind == "i" for order in orders)
+
     def test_central_policy_has_single_aggregator(self, quick_config):
         from dataclasses import replace
 
