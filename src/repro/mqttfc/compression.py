@@ -16,9 +16,18 @@ to give sits in its sign/exponent bytes, which the transpose gathers into one
 low-entropy plane.  So a frame that is at least half leaves of multi-byte
 elements — every model frame on this wire: float32 uploads, relayed
 aggregates and globals, float16 updates — is entropy-coded only
-(``Z_HUFFMAN_ONLY``).  Anything else gets plain level 1: JSON topologies and
-uint8-quantised updates.  Every plane ends its deflate block, so each gets
-its own Huffman table.  The rule reads nothing but the frame.
+(``Z_HUFFMAN_ONLY``), and of a float leaf only the most significant plane is
+handed to the coder at all: the mantissa planes (byte entropy 7.96–7.99 bit)
+are what zlib would tally, build a tree for and then store anyway, so a
+level-0 deflater writes them straight out as stored blocks.  Both deflaters
+are raw (``wbits=-15``); their byte-aligned pieces (``Z_SYNC_FLUSH``) are
+concatenated in frame order between a literal ``78 01`` header and the
+adler32 of everything — still one standard zlib stream, so the receiver is
+the same ``zlib`` inflate for every flag.  Anything else gets plain level 1
+from the coder alone: JSON topologies and uint8-quantised updates (a stored
+piece may not enter a stream that has LZ77 on — match distances would count
+past it).  Every coded plane ends its deflate block, so each gets its own
+Huffman table.  The rule reads nothing but the frame.
 Compression is skipped below a configurable size, and a result that is not
 smaller than the input is discarded for the raw flag — this matches the
 paper's "for larger payloads, a compression mechanism using zlib".
@@ -46,6 +55,7 @@ __all__ = [
 _FLAG_RAW = b"\x00"
 _FLAG_ZLIB = b"\x01"
 _FLAG_SHUFFLED = b"\x02"
+_ZLIB_HEADER = b"\x78\x01"  # deflate, 32 KiB window, "fastest" level hint
 
 
 class CompressionError(ValueError):
@@ -103,29 +113,47 @@ def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None)
     config = config or CompressionConfig()
     if not config.enabled or frame.nbytes < config.min_bytes:
         return CodedFrame([_FLAG_RAW, *frame.segments], "raw")
-    parts: List[object] = []
+    parts: List[tuple] = []  # (bytes-like, is a float leaf's mantissa plane)
     wide = 0  # bytes in leaves of multi-byte elements
     for segment in frame.segments:
         leaf = segment.obj if isinstance(segment, memoryview) else None
         if not isinstance(leaf, np.ndarray) or leaf.itemsize == 1 or not segment.nbytes:
-            parts.append(segment)
+            parts.append((segment, False))
             continue
         wide += segment.nbytes
         items = np.frombuffer(segment, np.uint8).reshape(-1, leaf.itemsize)
-        parts.extend(np.ascontiguousarray(items.T))  # one row per byte plane
+        top = 0 if leaf.dtype.str[0] == ">" else leaf.itemsize - 1  # sign/exponent plane
+        mantissa = leaf.dtype.kind == "f"
+        for k, plane in enumerate(np.ascontiguousarray(items.T)):  # one row per byte plane
+            parts.append((plane, mantissa and k != top))
     huffman = 2 * wide >= frame.nbytes
-    deflater = zlib.compressobj(
-        1,
-        zlib.DEFLATED,
-        zlib.MAX_WBITS,
-        zlib.DEF_MEM_LEVEL,
-        zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY,
-    )
-    pieces = []
-    for part in parts:
+    strategy = zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY
+    # Two raw deflaters write the one stream: the coder, and — for the planes
+    # Huffman coding only ever stored — a level-0 deflater that goes straight
+    # to stored blocks (and splits them at 65 535 bytes).
+    coder = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, strategy)
+    storer = zlib.compressobj(0, zlib.DEFLATED, -zlib.MAX_WBITS)
+    pieces = [_ZLIB_HEADER]
+    checksum = 1
+    previous = None
+    for part, mantissa in parts:
+        deflater = storer if mantissa and huffman else coder
+        if deflater is storer:
+            # With LZ77 on, match distances would count past the stored bytes.
+            assert strategy == zlib.Z_HUFFMAN_ONLY
+        if previous is not None:
+            # Same deflater: end the block (a Huffman table per plane).  Other
+            # deflater: also pad to a byte boundary so the pieces concatenate.
+            pieces.append(
+                previous.flush(zlib.Z_BLOCK if previous is deflater else zlib.Z_SYNC_FLUSH)
+            )
         pieces.append(deflater.compress(part))
-        pieces.append(deflater.flush(zlib.Z_BLOCK))  # a Huffman table per plane
-    pieces.append(deflater.flush())
+        checksum = zlib.adler32(part, checksum)
+        previous = deflater
+    if previous is storer:
+        pieces.append(storer.flush(zlib.Z_SYNC_FLUSH))
+    pieces.append(coder.flush())  # the final block
+    pieces.append(checksum.to_bytes(4, "big"))
     compressed = b"".join(pieces)
     if len(compressed) >= frame.nbytes:
         return CodedFrame([_FLAG_RAW, *frame.segments], "discarded")

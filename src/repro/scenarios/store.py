@@ -65,7 +65,8 @@ SCHEMA_VERSION = 1
 #: 2 — PR 14, byte-plane compression changed wire sizes and sim-time delays.
 #: 3 — PR 16, aggregates and globals ship in the uploads' dtype (float32);
 #: ``compression_enabled`` reaches the coordinator and parameter server.
-RESULTS_REVISION = 3
+#: 4 — mantissa planes ride as stored blocks (+0.1 … +2 % wire bytes).
+RESULTS_REVISION = 4
 
 #: Environment variable naming the default database location.
 STORE_ENV_VAR = "REPRO_STORE"

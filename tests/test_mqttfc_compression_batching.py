@@ -128,7 +128,10 @@ DTYPES = ("<f2", "<f4", "<f8", "<i4", "<i8", "|u1", "|b1", ">f4", "<c16")
 def leaves(draw):
     """An ndarray whose bytes are arbitrary: any NaN payload, ±inf, −0.0, denormals."""
     dtype = np.dtype(draw(st.sampled_from(DTYPES)))
-    shape = draw(st.sampled_from([(), (0,), (1,), (7,), (3, 5), (2, 0, 3), (64,), (33, 3)]))
+    # (65_540,): byte planes longer than one stored deflate block.
+    shape = draw(
+        st.sampled_from([(), (0,), (1,), (7,), (3, 5), (2, 0, 3), (64,), (33, 3), (65_540,)])
+    )
     count = int(np.prod(shape, dtype=int))
     fill = draw(st.sampled_from(["noise", "smooth", "special"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -174,6 +177,8 @@ class TestBytePlanes:
         assert (wire[:1] == b"\x00") == (coded.coding == "discarded")
         body = decompress_payload(wire, copy=False)
         assert bytes(body) == frame.tobytes()
+        if coded.coding != "discarded":  # one standard zlib stream, whoever wrote its blocks
+            assert len(zlib.decompress(wire[1:])) == frame.nbytes
         # The reference is the uncompressed path (it turns tuples into lists
         # and 0-d arrays into shape ``(1,)``).
         assert_same_tree(decode_payload(body, copy_arrays=False), decode_payload(frame.tobytes()))
@@ -251,6 +256,94 @@ class TestBytePlanes:
             want = reference.decode_state("s", expected["state"])
             got = decoder.decode_state("s", received["state"])
             assert_same_tree(got, want)
+
+
+def plane(array: np.ndarray, k: int) -> bytes:
+    """Byte plane ``k`` of ``array`` as it sits in a shuffled frame."""
+    return array.view(np.uint8).reshape(-1, array.itemsize)[:, k].tobytes()
+
+
+class TestStoredPlanes:
+    """A Huffman frame's mantissa planes ride verbatim, as stored deflate
+    blocks of the same zlib stream the sign/exponent planes are coded into."""
+
+    RNG = np.random.default_rng(24)
+    SMALL = (RNG.standard_normal(3000) * 0.05).astype("<f4")
+    LONG = (RNG.standard_normal(70_000) * 0.05).astype("<f4")  # planes of 70 000 > 65 535 bytes
+
+    @pytest.fixture
+    def stored(self, monkeypatch):
+        """Sizes of the pieces handed to a level-0 deflater during the test."""
+        sizes, real = [], zlib.compressobj
+
+        class Spy:
+            def __init__(self, level, *rest):
+                self.level, self.inner = level, real(level, *rest)
+
+            def compress(self, data):
+                if self.level == 0:
+                    sizes.append(len(data))
+                return self.inner.compress(data)
+
+            def flush(self, *mode):
+                return self.inner.flush(*mode)
+
+        monkeypatch.setattr(zlib, "compressobj", Spy)
+        return sizes
+
+    @staticmethod
+    def check(tree) -> bytes:
+        frame = encode_payload_frame(tree)
+        wire = compress_frame(frame, EAGER).tobytes()
+        assert decompress_payload(wire) == frame.tobytes()
+        assert len(zlib.decompress(wire[1:])) == frame.nbytes  # stock zlib inflates it
+        return wire
+
+    @pytest.mark.parametrize("dtype", ["<f2", "<f4", "<f8", ">f4", ">f8"])
+    def test_every_plane_but_the_most_significant_rides_verbatim(self, dtype, stored):
+        sent = self.SMALL.astype(dtype)
+        wire = self.check({"w": sent})
+        assert stored == [sent.size] * (sent.itemsize - 1)
+        top = 0 if dtype[0] == ">" else sent.itemsize - 1
+        assert all(plane(sent, k) in wire for k in range(sent.itemsize) if k != top)
+        assert plane(sent, top) not in wire
+
+    def test_integer_and_byte_leaves_are_all_coded(self, stored):
+        tree = {"n": np.arange(3000, dtype="<i4"), "q": np.arange(3000).astype(np.uint8)}
+        assert compress_frame(encode_payload_frame(tree), EAGER).coding == "huffman"
+        assert stored == []
+
+    def test_no_stored_piece_under_the_half_wide_threshold(self, stored):
+        tree = {"w": self.SMALL, "pad": np.zeros(4 * self.SMALL.nbytes, np.uint8)}
+        frame = compress_frame(encode_payload_frame(tree), EAGER)
+        assert frame.coding == "level1"  # LZ77 is on: a spliced piece would break its distances
+        assert stored == []
+        assert decompress_payload(frame.tobytes()) == encode_payload(tree)
+
+    def test_a_plane_longer_than_one_stored_block(self):
+        wire = self.check({"w": self.LONG, "b": self.SMALL})
+        low = plane(self.LONG, 0)
+        assert low[:16_384] in wire and low[-1024:] in wire and low not in wire  # zlib split it
+
+    def test_a_frame_may_end_on_a_stored_plane(self):
+        sent = self.SMALL.astype(">f4")
+        wire = self.check({"w": sent})
+        tail = wire[-(len(plane(sent, 3)) + 32):]
+        assert plane(sent, 3) in tail  # nothing but the stream's closing bytes after it
+
+    def test_empty_and_mixed_leaves(self):
+        self.check({"e": self.SMALL[:0], "w": self.SMALL, "e2": self.SMALL[:0].astype("<f8"),
+                    "q": self.RNG.integers(0, 255, 500).astype(np.uint8), "n": np.arange(900, dtype="<i4"),
+                    "h": self.SMALL.astype("<f2"), "d": self.SMALL.astype("<f8")})
+
+    def test_the_checksum_covers_the_stored_planes(self):
+        wire = self.check({"w": self.LONG})
+        at = wire.index(plane(self.LONG, 1)[:64]) + 17
+        flipped = bytearray(wire)
+        flipped[at] ^= 0x04
+        for damaged in (bytes(flipped), wire[:-1], wire[: len(wire) // 2], wire + b"\x00"):
+            with pytest.raises(CompressionError):
+                decompress_payload(damaged)
 
 
 def planes_wire(header: dict, buffers: bytes, flag: bytes = b"\x02") -> bytes:

@@ -279,6 +279,25 @@ class TestCodingCounters:
         assert self._codings(caller.stats) == (0, 0, 0, 0)
 
 
+    def test_a_frame_with_stored_planes_is_one_huffman_frame_end_to_end(self, rig):
+        """Chunked, reassembled, inflated once, un-shuffled: the receiver gets
+        the sender's bits, and the frame counts as Huffman-coded, as before."""
+        make, pump = rig
+        got = []
+        server, caller = make("server"), make("caller")
+        server.register("take", got.append)
+        rng = np.random.default_rng(4)
+        state = {"w": (rng.standard_normal(70_000) * 0.05).astype(np.float32),  # 70 000-byte planes
+                 "b": (rng.standard_normal(64) * 0.05).astype(">f4")}  # ends on a stored plane
+        caller.call("server", "take", state)
+        pump.run_until_idle()
+        assert self._codings(caller.stats) == (0, 1, 0, 0)
+        assert caller.stats.request_bytes_sent < state["w"].nbytes  # and it still shrank
+        assert got[0].keys() == state.keys()
+        for name, sent in state.items():
+            assert got[0][name].dtype == sent.dtype and got[0][name].tobytes() == sent.tobytes()
+
+
 class TestSharedInflate:
     """One ``zlib`` inflate per publish, shared by identity of the wire bytes."""
 

@@ -317,7 +317,7 @@ class TestRunnerFlightRecorder:
 
     def test_registry_trace_is_pinned_across_receive_path_changes(self, tmp_path, capsys):
         """``scenario run degraded-wan --seed 7 --no-store --trace D`` as the
-        PR 16 wire revision (float32 aggregates and globals) wrote it: a
+        wire revision 4 (mantissa planes as stored blocks) wrote it: a
         receive-side change (sharing an inflate, un-shuffling once) must not
         move one sim-time trace line."""
         from repro.cli import main
@@ -327,7 +327,7 @@ class TestRunnerFlightRecorder:
         capsys.readouterr()
         trace = (tmp_path / "degraded-wan_7.trace.jsonl").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == (
-            "ee691a666b8805a49915bd65f6bbe50f8a7c72ff968fdaca8fd9a2055dad4ecc"
+            "fe235fd38f35b81d631f6ce570f825f2935d45426b2613dc692c502b78ec6008"
         )
 
     def test_trace_contains_delivery_and_round_phase_spans(self, tmp_path):

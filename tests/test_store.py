@@ -313,27 +313,27 @@ class TestRunWithStore:
         assert ScenarioRunner.format_rounds(cached) == ScenarioRunner.format_rounds(fresh)
         assert ScenarioRunner.format_summary([cached]) == ScenarioRunner.format_summary([fresh])
 
-    def test_content_addresses_are_the_ones_revision_3_writes(self):
-        # A store filled at RESULTS_REVISION 3 (PR 16) must be served warm by
+    def test_content_addresses_are_the_ones_revision_4_writes(self):
+        # A store filled at RESULTS_REVISION 4 must be served warm by
         # later commits: the keys it wrote are the keys looked up now.
-        assert store_module.RESULTS_REVISION == 3
+        assert store_module.RESULTS_REVISION == 4
         assert spec_hash(get_scenario("baseline")) == (
-            "7c8ff39151f8c7886f1126b52facfcdca2cf945d48ee3742c8cd956fd0fe1f99"
+            "892f35365678bb0c9bdf7648cbb0524b4078d673818f7dfcf342cff9838d59e2"
         )
         assert spec_hash(get_scenario("degraded-wan-int8")) == (
-            "e4380e7509868433e7d7e15db8a8346e3ab0424062fd4f9ca541761b74946ebe"
+            "79fb00b6de4590237a2f0d43a742ea4f29bad2c026bf2681c0504f5a9d8575fd"
         )
         grid = get_grid("codec-compare")
         assert sweep_hash(grid) == (
-            "31c3b5e74230bad80afea3638390c8b9e032291330e3b14b0e1593412b8cab0c"
+            "f3dbfcbfafbb55d05f8a4baa5a93d21b9f55092b94276f11301c2c03732f506e"
         )
         assert [spec_hash(cell.spec)[:8] for cell in grid.cells()[:3]] == [
-            "be0c8e97", "b45b9202", "9a56682f",
+            "4ee1cd64", "42c8e398", "04d6f3ea",
         ]
 
     def test_row_written_under_the_previous_revision_is_not_served(self, store, monkeypatch):
         # A change that moves signatures bumps RESULTS_REVISION; what the store
-        # holds from before (revision 1 and PR 14's revision 2) must miss
+        # holds from before (every earlier revision) must miss
         # (once) instead of serving old results.
         spec, sweep = _tiny_base(), _small_sweep()
         current = store_module.RESULTS_REVISION
@@ -343,7 +343,7 @@ class TestRunWithStore:
             old_keys[spec_hash(spec)] = sweep_hash(sweep)
             store.put_run(spec_hash(spec), spec.seed, spec, "previous-revision", {"stale": previous})
         monkeypatch.setattr(store_module, "RESULTS_REVISION", current)
-        assert len(old_keys) == 2 and spec_hash(spec) not in old_keys
+        assert len(old_keys) == current - 1 and spec_hash(spec) not in old_keys
         assert sweep_hash(sweep) not in old_keys.values()
 
         runner = ScenarioRunner(store=store)
@@ -352,8 +352,10 @@ class TestRunWithStore:
         assert runner.store_hits == 0 and runner.store_misses == 1
         assert runner.run(spec).from_store  # the miss happens once
         # The old rows are still there for ``store gc`` to collect.
-        assert [store.get_run(key, spec.seed).payload["stale"] for key in old_keys] == [1, 2]
-        assert store.gc(scenario=spec.name)["runs"] == 3
+        assert [store.get_run(key, spec.seed).payload["stale"] for key in old_keys] == list(
+            range(1, current)
+        )
+        assert store.gc(scenario=spec.name)["runs"] == current
 
     def test_cached_signature_matches_a_storeless_runner(self, store):
         cached = ScenarioRunner(store=store)
