@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's evaluation artefacts (or one of
-the ablations listed in DESIGN.md §4), prints the corresponding table/series in
-a paper-comparable form, and asserts the qualitative *shape* the paper reports
-(who wins, how the gap moves) rather than absolute numbers.
+the ablations in ``repro.experiments.ablations``), prints the corresponding
+table/series in a paper-comparable form, and asserts the qualitative *shape*
+the paper reports (who wins, how the gap moves) rather than absolute numbers.
 
 Run with::
 

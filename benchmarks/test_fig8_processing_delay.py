@@ -13,9 +13,8 @@ Paper series (read off Fig. 8; 10 FL rounds, clients ∈ {5, 10, 15, 20}):
 Reproduced shape: same growth and same gap-closing behaviour.  In our
 simulator the closing gap crosses zero between 5 and 20 clients (the central
 aggregator's serialized reception and per-model handling eventually dominate),
-which is the same mechanism the paper describes taken slightly further; see
-EXPERIMENTS.md for the discussion.  Absolute seconds are not comparable to the
-authors' testbed.
+which is the same mechanism the paper describes taken slightly further.
+Absolute seconds are not comparable to the authors' testbed.
 """
 
 from __future__ import annotations

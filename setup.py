@@ -1,8 +1,8 @@
 """Setup shim for environments without the `wheel` package.
 
-The project is fully described by ``pyproject.toml``; this file only exists so
-that ``python setup.py develop`` / legacy editable installs work in offline
-environments where PEP 660 editable wheels cannot be built.
+A bare ``setup()``: the package is run from ``src/`` with ``PYTHONPATH=src``
+(see ``README.md``); this file only exists so that ``python setup.py
+develop`` / legacy editable installs work in offline environments.
 """
 from setuptools import setup
 

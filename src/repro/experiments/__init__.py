@@ -1,6 +1,7 @@
 """Experiment harness: the code that regenerates every figure of the paper.
 
-Each module corresponds to one evaluation artefact (see DESIGN.md §4):
+Each module corresponds to one evaluation artefact (``README.md`` lists the
+commands that regenerate them):
 
 * :mod:`repro.experiments.fig7_accuracy` — Fig. 7, accuracy convergence of
   offline training vs 2-layer hierarchical SDFL with 5 clients;

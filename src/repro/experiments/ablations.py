@@ -1,8 +1,7 @@
 """Ablation studies for the design choices the paper calls out.
 
 None of these correspond to a numbered figure in the paper, but each isolates
-one mechanism the paper describes and motivates (see DESIGN.md §4 for the
-index):
+one mechanism the paper describes and motivates:
 
 * aggregator fraction (the paper fixes 30 % without justification),
 * payload batching + zlib compression (paper §IV),

@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper reports; these
 helpers keep that formatting in one place: fixed-width tables for terminals,
-markdown tables for EXPERIMENTS.md-style docs, and CSV for downstream
+markdown tables for the docs, and CSV for downstream
 analysis.  The grid helpers condense a parameter-grid run (see
 :mod:`repro.scenarios.sweep`) into per-cell metric rows and write the full
 report bundle — including the ``messaging_s`` (observed event-scheduler

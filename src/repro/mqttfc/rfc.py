@@ -46,16 +46,17 @@ __all__ = [
 #: Root of the MQTTFC topic namespace.
 MQTTFC_ROOT = "mqttfc"
 
-#: ``(wire payload, its inflated body)`` of the last single-chunk zlib frame
-#: any endpoint in this process inflated.  Broker fan-out, retained copies and
+#: ``(wire payload, its decoded payload)`` of the last single-chunk publish
+#: any endpoint in this process decoded.  Broker fan-out, retained copies and
 #: bridge forwarding hand every subscriber the *same* immutable ``bytes``
-#: object, so one publish is inflated (and its byte planes put back in
-#: element order) once, not once per receiver.  Process-wide on purpose: the
-#: receivers of one publish are different endpoints on different brokers.
-#: The entry keeps its key alive and is matched with ``is``, so a recycled
-#: ``id()`` cannot alias, and it is replaced by one tuple assignment, so a
-#: reader never sees a key paired with another body.
-_last_inflated: "tuple[Optional[bytes], Optional[bytes]]" = (None, None)
+#: object, so one publish is verified, inflated and decoded once, not once per
+#: receiver, and every receiver dispatches the same (read-only) tree.
+#: Process-wide on purpose: the receivers of one publish are different
+#: endpoints on different brokers.  The entry keeps its key alive and is
+#: matched with ``is``, so a recycled ``id()`` cannot alias, and it is replaced
+#: by one tuple assignment, so a reader never sees a key paired with another
+#: payload.
+_last_received: "tuple[Optional[bytes], Any]" = (None, None)
 
 
 def call_topic(client_id: str, function: str) -> str:
@@ -150,9 +151,9 @@ class EndpointStats:
     frames_deflate_discarded: int = 0
     #: zlib-flagged frames this endpoint inflated itself.
     frames_inflated: int = 0
-    #: Frames whose body another receiver of the same publish had already
-    #: inflated (see ``_last_inflated``).
-    inflates_shared: int = 0
+    #: Receives served with the payload another receiver of the same publish
+    #: had already decoded (see ``_last_received``), whatever its flag.
+    receives_shared: int = 0
 
 
 class FleetControlEndpoint:
@@ -175,6 +176,10 @@ class FleetControlEndpoint:
         ``"delta+int8"``, or a prebuilt :class:`~repro.mqttfc.codecs.UpdateCodec`)
         applied to model update payloads by the FL client before the frame
         codec.  ``None``/``"none"`` ships full-precision states unchanged.
+
+    A payload handed to a registered function is read-only: every receiver of
+    one publish gets the same decoded tree (containers and read-only ndarray
+    leaves alike), so a handler copies what it wants to change.
     """
 
     def __init__(
@@ -226,7 +231,8 @@ class FleetControlEndpoint:
 
         Returns the topic the function listens on.  Registering the same name
         again replaces the binding (the old topic is unsubscribed if it is no
-        longer used).
+        longer used).  ``func`` must not mutate its arguments: they may be
+        shared with the other receivers of the same publish.
         """
         validate_identifier(name, "function name")
         new_topic = topic or call_topic(self.client_id, name)
@@ -382,7 +388,7 @@ class FleetControlEndpoint:
 
     def _on_raw_message(self, _client: MQTTClient, message: MQTTMessage) -> None:
         """Chunk-level handler for both request and response topics."""
-        global _last_inflated
+        global _last_received
         self.stats.chunks_received += 1
         if self.tracer is not None:
             self.tracer.instant(
@@ -390,38 +396,35 @@ class FleetControlEndpoint:
                 "codec",
                 args={"endpoint": self.client_id, "bytes": len(message.payload)},
             )
-        sender = message.sender_id or "?"
         wire = message.payload
-        complete = self._assembler.add(sender, memoryview(wire))
-        if complete is None:
-            return
-        # Zero-copy receive: ndarray leaves in the decoded payload are
-        # read-only views into the reassembled frame — or into the inflated
-        # body this receiver shares with the others of the same publish.
-        # Every downstream consumer either only reads them (aggregation,
-        # re-forwarding) or copies on install (``ModelController.apply_global``
-        # casts to the model dtype), so no copy is made here on the hot path.
-        shared_wire, body = _last_inflated
-        if shared_wire is wire:
-            self.stats.inflates_shared += 1
+        shared_wire, payload = _last_received
+        # An open batch takes the full path, so a chunk that conflicts with it
+        # raises exactly as if nothing had been shared.
+        if shared_wire is wire and not self._assembler.open_batches():
+            self.stats.receives_shared += 1
         else:
+            complete = self._assembler.add(message.sender_id or "?", memoryview(wire))
+            if complete is None:
+                return
+            # Zero-copy receive: ndarray leaves in the decoded payload are
+            # read-only views into the reassembled frame or its inflated body.
             body = decompress_payload(complete, copy=False)
             if type(body) is bytes:  # inflated; a raw-flag body is a view
                 self.stats.frames_inflated += 1
-                # Shareable only when the frame is the single-chunk view into
-                # an immutable wire payload: a multi-chunk frame is this
-                # receiver's own gathered buffer.
-                if type(wire) is bytes and complete.obj is wire:
-                    _last_inflated = (wire, body)
-        payload = decode_payload(body, copy_arrays=False)
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise RemoteCallError(f"malformed MQTTFC payload on topic {message.topic!r}")
+            payload = decode_payload(body, copy_arrays=False)
+            if not isinstance(payload, dict) or "kind" not in payload:
+                raise RemoteCallError(f"malformed MQTTFC payload on topic {message.topic!r}")
+            if payload["kind"] not in ("request", "response"):
+                raise RemoteCallError(f"unknown MQTTFC payload kind {payload['kind']!r}")
+            # Shareable only when the frame is the single-chunk view into an
+            # immutable wire payload: a multi-chunk frame is this receiver's
+            # own gathered buffer.
+            if type(wire) is bytes and complete.obj is wire:
+                _last_received = (wire, payload)
         if payload["kind"] == "request":
             self._serve_request(message.topic, payload)
-        elif payload["kind"] == "response":
-            self._accept_response(payload)
         else:
-            raise RemoteCallError(f"unknown MQTTFC payload kind {payload['kind']!r}")
+            self._accept_response(payload)
 
     def _serve_request(self, topic: str, request: Dict[str, Any]) -> None:
         function_name = request.get("function", "")

@@ -65,7 +65,7 @@ _ENDPOINT_STATS_FIELDS = (
     "frames_sent_level1",
     "frames_deflate_discarded",
     "frames_inflated",
-    "inflates_shared",
+    "receives_shared",
 )
 
 _CODEC_STATS_FIELDS = (

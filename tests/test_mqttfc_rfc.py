@@ -13,7 +13,7 @@ from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.messages import MQTTMessage
 from repro.mqttfc import rfc
-from repro.mqttfc.batching import BatchChunk, BatchEncoder
+from repro.mqttfc.batching import BatchChunk, BatchEncoder, BatchReassemblyError
 from repro.mqttfc.compression import CompressionConfig, CompressionError, compress_frame
 from repro.mqttfc.rfc import (
     FleetControlEndpoint,
@@ -22,7 +22,7 @@ from repro.mqttfc.rfc import (
     call_topic,
     response_topic,
 )
-from repro.mqttfc.serialization import PayloadFrame, encode_payload_frame
+from repro.mqttfc.serialization import PayloadFrame, SerializationError, encode_payload_frame
 from repro.runtime.pump import MessagePump
 
 
@@ -299,16 +299,25 @@ class TestCodingCounters:
 
 
 class TestSharedInflate:
-    """One ``zlib`` inflate per publish, shared by identity of the wire bytes."""
+    """One verify / inflate / decode per publish, shared by identity of the wire bytes."""
 
     ZLIB_ON = CompressionConfig(enabled=True, min_bytes=16)
 
     @pytest.fixture(autouse=True)
     def inflates(self, monkeypatch):
         """Empty memo for the test; returns the list of inflates it then sees."""
-        monkeypatch.setattr(rfc, "_last_inflated", (None, None))
+        monkeypatch.setattr(rfc, "_last_received", (None, None))
         calls, real = [], zlib.decompressobj
         monkeypatch.setattr(zlib, "decompressobj", lambda: calls.append(1) or real())
+        return calls
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The list of payloads the endpoints decode from here on."""
+        calls, real = [], rfc.decode_payload
+        monkeypatch.setattr(
+            rfc, "decode_payload", lambda body, **kw: calls.append(real(body, **kw)) or calls[-1]
+        )
         return calls
 
     @staticmethod
@@ -316,22 +325,22 @@ class TestSharedInflate:
         return {"w": np.full(size, value), "b": np.arange(8, dtype=np.float32)}
 
     @staticmethod
-    def _wire(state, compression=ZLIB_ON):
+    def _wire(state, compression=ZLIB_ON, kind="request", encoder=None):
         """The wire chunks one ``notify`` of ``state`` publishes."""
-        request = {"kind": "request", "function": "take", "args": [state], "kwargs": {},
+        request = {"kind": kind, "function": "take", "args": [state], "kwargs": {},
                    "correlation_id": "caller.c0", "reply_to": None, "sender": "caller"}
         frame = compress_frame(encode_payload_frame(request), compression)
-        return list(BatchEncoder().iter_payloads_frame(frame))
+        return list((encoder or BatchEncoder()).iter_payloads_frame(frame))
 
     @staticmethod
-    def _receivers(broker, count):
+    def _receivers(broker, count, func=None):
         """``count`` endpoints serving ``take`` plus the states each one got."""
         got, endpoints = [], []
         for index in range(count):
             client = MQTTClient(f"receiver{index}")
             client.connect(broker)
             endpoint = FleetControlEndpoint(client)
-            endpoint.register("take", got.append, topic="jobs/take")
+            endpoint.register("take", func or got.append, topic="jobs/take")
             endpoints.append(endpoint)
         return endpoints, got
 
@@ -341,7 +350,7 @@ class TestSharedInflate:
             endpoint.client, MQTTMessage("jobs/take", payload, sender_id="caller")
         )
 
-    def test_fanout_inflates_once_and_every_receiver_decodes(self, rig, inflates):
+    def test_fanout_inflates_once_and_every_receiver_decodes(self, rig, inflates, decodes):
         make, pump = rig
         workers = [make(f"worker{i}") for i in range(5)]
         caller = make("caller", compression=self.ZLIB_ON)
@@ -351,23 +360,24 @@ class TestSharedInflate:
         sent = self._state(3.5)
         caller.call_topic("jobs/broadcast", "take", sent, expect_response=False)
         pump.run_until_idle()
-        assert len(got) == 5 and len(inflates) == 1
-        for state in got:
-            np.testing.assert_array_equal(state["w"], sent["w"])
-            np.testing.assert_array_equal(state["b"], sent["b"])
-            assert not state["w"].flags.writeable and not state["b"].flags.writeable
-        assert len({id(state) for state in got}) == 5  # each receiver owns its tree
+        assert len(got) == 5 and len(inflates) == 1 and len(decodes) == 1
+        assert all(state is got[0] for state in got)  # one tree, dispatched five times
+        np.testing.assert_array_equal(got[0]["w"], sent["w"])
+        np.testing.assert_array_equal(got[0]["b"], sent["b"])
+        assert not got[0]["w"].flags.writeable and not got[0]["b"].flags.writeable
         assert sum(w.stats.frames_inflated for w in workers) == 1
-        assert sum(w.stats.inflates_shared for w in workers) == 4
+        assert sum(w.stats.receives_shared for w in workers) == 4
+        assert [w.stats.chunks_received for w in workers] == [1] * 5
 
-    def test_equal_content_in_distinct_objects_is_not_shared(self, broker, inflates):
+    def test_equal_content_in_distinct_objects_is_not_shared(self, broker, inflates, decodes):
         (first, second), got = self._receivers(broker, 2)
         (wire,) = self._wire(self._state(1.0))
         twin = bytes(bytearray(wire))
         assert twin == wire and twin is not wire
         self._deliver(first, wire)
         self._deliver(second, twin)
-        assert len(inflates) == 2 and second.stats.inflates_shared == 0
+        assert len(inflates) == len(decodes) == 2 and second.stats.receives_shared == 0
+        assert got[0] is not got[1]
         np.testing.assert_array_equal(got[0]["w"], got[1]["w"])
 
     def test_a_freed_payload_never_lends_its_body_to_the_next(self, broker):
@@ -377,32 +387,51 @@ class TestSharedInflate:
             (wire,) = self._wire(self._state(float(value), size=512))
             seen_ids.add(id(wire))
             self._deliver(endpoint, wire)
-            assert rfc._last_inflated[0] is wire  # kept alive: its id cannot be reused yet
+            assert rfc._last_received[0] is wire  # kept alive: its id cannot be reused yet
             del wire
             assert got.pop()["w"][0] == value
-        assert len(seen_ids) < 200  # addresses were recycled, bodies were not
+        assert len(seen_ids) < 200  # addresses were recycled, payloads were not
+        assert endpoint.stats.receives_shared == 0
+
+    @pytest.mark.parametrize(
+        "compression",
+        [
+            pytest.param(CompressionConfig(enabled=False), id="raw-flag"),
+            pytest.param(CompressionConfig(min_bytes=10**6), id="below-min-bytes"),
+        ],
+    )
+    def test_single_chunk_raw_payloads_are_shared(self, broker, compression, inflates, decodes):
+        endpoints, got = self._receivers(broker, 3)
+        (wire,) = self._wire(self._state(2.0), compression)
+        for endpoint in endpoints:
+            self._deliver(endpoint, wire)
+        assert rfc._last_received[0] is wire and len(decodes) == 1 and inflates == []
+        assert [e.stats.receives_shared for e in endpoints] == [0, 1, 1]
+        assert [e.stats.frames_inflated for e in endpoints] == [0, 0, 0]
+        assert got[0] is got[1] is got[2]
+        np.testing.assert_array_equal(got[0]["w"], np.full(4096, 2.0))
+        assert not got[0]["w"].flags.writeable and np.shares_memory(got[0]["w"], np.frombuffer(wire, np.uint8))
 
     @pytest.mark.parametrize(
         "compression, wrap",
         [
-            pytest.param(CompressionConfig(enabled=False), bytes, id="raw-flag"),
-            pytest.param(CompressionConfig(min_bytes=10**6), bytes, id="below-min-bytes"),
             pytest.param(ZLIB_ON, bytearray, id="bytearray-payload"),
             pytest.param(ZLIB_ON, memoryview, id="memoryview-payload"),
+            pytest.param(CompressionConfig(enabled=False), bytearray, id="raw-bytearray-payload"),
         ],
     )
-    def test_ineligible_payloads_bypass_the_memo(self, broker, compression, wrap):
+    def test_ineligible_payloads_bypass_the_memo(self, broker, compression, wrap, decodes):
         endpoints, got = self._receivers(broker, 2)
         (wire,) = self._wire(self._state(2.0), compression)
         payload = wrap(wire)
         for endpoint in endpoints:
             self._deliver(endpoint, payload)
-        assert rfc._last_inflated == (None, None)
-        assert [e.stats.inflates_shared for e in endpoints] == [0, 0]
+        assert rfc._last_received == (None, None) and len(decodes) == 2
+        assert [e.stats.receives_shared for e in endpoints] == [0, 0]
         for state in got:
             np.testing.assert_array_equal(state["w"], np.full(4096, 2.0))
 
-    def test_multi_chunk_broadcast_inflates_per_receiver(self, rig, inflates):
+    def test_multi_chunk_broadcast_inflates_per_receiver(self, rig, inflates, decodes):
         make, pump = rig
         workers = [make(f"worker{i}") for i in range(2)]
         caller = make("caller")
@@ -413,8 +442,9 @@ class TestSharedInflate:
         caller.call_topic("jobs/broadcast", "take", {"w": noise}, expect_response=False)
         pump.run_until_idle()
         assert caller.stats.chunks_sent > 1  # > 256 KiB after deflate
-        assert len(inflates) == 2 and rfc._last_inflated == (None, None)
+        assert len(inflates) == len(decodes) == 2 and rfc._last_received == (None, None)
         assert [w.stats.frames_inflated for w in workers] == [1, 1]
+        assert [w.stats.receives_shared for w in workers] == [0, 0]
         for state in got:
             np.testing.assert_array_equal(state["w"], noise)
 
@@ -425,7 +455,81 @@ class TestSharedInflate:
         for endpoint in endpoints:
             with pytest.raises(CompressionError):
                 self._deliver(endpoint, wire)
-        assert rfc._last_inflated == (None, None) and got == []
+        assert rfc._last_received == (None, None) and got == []
+
+    @staticmethod
+    def _bad_crc(wire):
+        chunk = BatchChunk.from_bytes(wire)
+        return BatchChunk(chunk.batch_id, 0, 1, chunk.total_length, chunk.crc32 ^ 1, chunk.data).to_bytes()
+
+    @staticmethod
+    def _bad_frame_header(_wire):
+        (wire,) = BatchEncoder().iter_payloads_frame(PayloadFrame([b"\x00", b"MQFC\x05\x00\x00\x00{nope"]))
+        return wire
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(lambda self, wire: self._bad_crc(wire), BatchReassemblyError, id="bad-crc"),
+            pytest.param(lambda self, wire: b"XX" + wire[2:], BatchReassemblyError, id="bad-chunk-magic"),
+            pytest.param(lambda self, wire: self._bad_frame_header(wire), SerializationError,
+                         id="corrupt-frame-header"),
+            pytest.param(lambda self, wire: self._wire(self._state(1.0), kind="gossip")[0],
+                         RemoteCallError, id="unknown-kind"),
+            pytest.param(lambda self, wire: next(BatchEncoder().iter_payloads_frame(
+                compress_frame(encode_payload_frame([1, 2]), CompressionConfig(enabled=False)))),
+                RemoteCallError, id="not-a-dict"),
+        ],
+    )
+    def test_a_bad_publish_raises_in_every_receiver_and_is_never_memoized(self, broker, corrupt, error):
+        endpoints, got = self._receivers(broker, 3)
+        (good,) = self._wire(self._state(1.0), CompressionConfig(enabled=False))
+        bad = corrupt(self, good)
+        for endpoint in endpoints:
+            with pytest.raises(error):
+                self._deliver(endpoint, bad)
+        assert rfc._last_received == (None, None) and got == []
+        assert [e.stats.receives_shared for e in endpoints] == [0, 0, 0]
+
+    def test_a_raising_handler_does_not_stop_the_other_receivers(self, rig, decodes):
+        make, pump = rig
+        workers = [make(f"worker{i}") for i in range(4)]
+        caller = make("caller")
+        got = []
+
+        def boom(state):
+            raise ValueError("receiver 0 is broken")
+
+        workers[0].register("take", boom, topic="jobs/broadcast")
+        for worker in workers[1:]:
+            worker.register("take", got.append, topic="jobs/broadcast")
+        caller.call_topic("jobs/broadcast", "take", self._state(4.0), expect_response=False)
+        pump.run_until_idle()
+        assert len(got) == 3 and got[0] is got[1] is got[2] and len(decodes) == 1
+        assert [w.stats.errors_returned for w in workers] == [1, 0, 0, 0]
+        assert [w.stats.calls_served for w in workers] == [0, 1, 1, 1]
+
+    def test_an_open_batch_conflicting_with_a_memoized_chunk_still_raises(self, broker):
+        (first, second), got = self._receivers(broker, 2)
+        (small,) = self._wire(self._state(1.0, size=8), encoder=BatchEncoder())
+        large = self._wire(self._state(1.0, size=100_000), CompressionConfig(enabled=False),
+                           encoder=BatchEncoder(chunk_bytes=64 * 1024))
+        assert len(large) > 1 and BatchChunk.from_bytes(large[0]).batch_id == BatchChunk.from_bytes(small).batch_id
+        self._deliver(first, small)
+        assert rfc._last_received[0] is small
+        self._deliver(second, large[0])  # same sender and batch id, still open
+        with pytest.raises(BatchReassemblyError, match="inconsistent metadata"):
+            self._deliver(second, small)
+        assert second.stats.receives_shared == 0 and len(got) == 1
+
+    def test_a_qos1_duplicate_to_the_same_endpoint_is_served_again(self, broker, decodes):
+        (endpoint,), got = self._receivers(broker, 1)
+        (wire,) = self._wire(self._state(5.0), CompressionConfig(enabled=False))
+        self._deliver(endpoint, wire)
+        self._deliver(endpoint, wire)
+        assert len(got) == 2 and got[0] is got[1] and len(decodes) == 1
+        assert endpoint.stats.calls_served == 2 and endpoint.stats.receives_shared == 1
+        assert endpoint.stats.chunks_received == 2
 
     def test_receivers_share_one_unshuffled_body(self, broker, inflates):
         endpoints, got = self._receivers(broker, 3)
@@ -434,13 +538,11 @@ class TestSharedInflate:
         for endpoint in endpoints:
             self._deliver(endpoint, wire)
         assert len(inflates) == 1
-        body = rfc._last_inflated[1]
-        assert body[:4] == b"MQFC"  # element order restored before it was shared
-        for state in got:
+        for state in got:  # element order restored before it was shared
             np.testing.assert_array_equal(state["w"], np.full(4096, 1.5))
             np.testing.assert_array_equal(state["b"], np.arange(8, dtype=np.float32))
             assert state["w"].base is not None and not state["w"].flags.writeable
-        assert np.shares_memory(got[0]["w"], got[2]["w"])
+        assert got[0] is got[2] and rfc._last_received[1]["args"][0] is got[0]
 
     @pytest.mark.parametrize(
         "header, buffers",
@@ -461,10 +563,10 @@ class TestSharedInflate:
         for endpoint in endpoints:
             with pytest.raises(CompressionError):
                 self._deliver(endpoint, wire)
-        assert rfc._last_inflated == (None, None) and got == []
+        assert rfc._last_received == (None, None) and got == []
         assert [e.stats.frames_inflated for e in endpoints] == [0, 0, 0]
 
-    def test_bridged_three_region_broadcast_inflates_once(self, inflates):
+    def test_bridged_three_region_broadcast_inflates_once(self, inflates, decodes):
         brokers = [MQTTBroker(f"region-{i}") for i in range(3)]
         BrokerBridge(brokers[0], brokers[1])
         BrokerBridge(brokers[0], brokers[2])
@@ -483,5 +585,5 @@ class TestSharedInflate:
         caller = FleetControlEndpoint(client, compression=self.ZLIB_ON)
         caller.call_topic("jobs/broadcast", "take", self._state(7.0), expect_response=False)
         pump.run_until_idle()
-        assert len(got) == 6 and len(inflates) == 1
-        assert sum(w.stats.inflates_shared for w in workers) == 5
+        assert len(got) == 6 and len(inflates) == len(decodes) == 1
+        assert sum(w.stats.receives_shared for w in workers) == 5

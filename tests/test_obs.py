@@ -362,8 +362,9 @@ class TestRunnerFlightRecorder:
         )
 
     def test_shared_inflate_counters_on_a_control_fleet(self, monkeypatch):
-        """48 clients over 3 bridged regions, no training, zlib on: every
-        compressed publish is inflated by exactly one of its receivers."""
+        """48 clients over 3 bridged regions, no training, zlib on: a
+        compressed publish is inflated by one of its receivers, and again only
+        where an interleaved publish evicted it from the one-entry memo."""
         compressed_publishes = []
         real = rfc.compress_frame
 
@@ -379,14 +380,14 @@ class TestRunnerFlightRecorder:
         published = len(compressed_publishes)
         second = ScenarioRunner().run(spec).metrics["gauges"]
         assert published > 0 and len(compressed_publishes) == 2 * published
-        assert first["endpoint_frames_inflated"] == published
-        assert first["endpoint_inflates_shared"] > 10 * first["endpoint_frames_sent_level1"]  # 48-way fan-out
+        assert published <= first["endpoint_frames_inflated"] < 1.1 * published
+        assert first["endpoint_receives_shared"] > 10 * first["endpoint_frames_sent_level1"]  # 48-way fan-out
         # Every model frame (uploads, relayed aggregates, globals) is float32
         # and entropy-coded only; the JSON topologies take level 1.
         assert first["endpoint_frames_sent_huffman"] > first["endpoint_frames_sent_level1"] > 0
         assert first["endpoint_frames_sent_huffman"] + first["endpoint_frames_sent_level1"] == published
         assert first["endpoint_frames_deflate_discarded"] == 0
-        for gauge in ("endpoint_frames_inflated", "endpoint_inflates_shared",
+        for gauge in ("endpoint_frames_inflated", "endpoint_receives_shared",
                       "endpoint_frames_sent_huffman", "endpoint_frames_sent_level1",
                       "endpoint_frames_sent_raw"):
             assert second[gauge] == first[gauge]
@@ -404,7 +405,9 @@ class TestRunnerFlightRecorder:
         assert gauges["endpoint_frames_sent_raw"] == len(configs)
         assert (gauges["endpoint_frames_sent_huffman"] + gauges["endpoint_frames_sent_level1"]
                 + gauges["endpoint_frames_deflate_discarded"]) == 0
-        assert gauges["endpoint_frames_inflated"] == gauges["endpoint_inflates_shared"] == 0
+        assert gauges["endpoint_frames_inflated"] == 0
+        # Raw broadcasts are still decoded once per publish, not per receiver.
+        assert gauges["endpoint_receives_shared"] > 0
 
     def test_untraced_run_attaches_no_tracer_cost_path(self):
         # The scheduler's tracer/histogram slots stay None-guarded when no
