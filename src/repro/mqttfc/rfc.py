@@ -402,6 +402,7 @@ class FleetControlEndpoint:
         # raises exactly as if nothing had been shared.
         if shared_wire is wire and not self._assembler.open_batches():
             self.stats.receives_shared += 1
+            self._assembler.completed_batches += 1
         else:
             complete = self._assembler.add(message.sender_id or "?", memoryview(wire))
             if complete is None:

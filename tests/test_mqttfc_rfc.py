@@ -368,6 +368,7 @@ class TestSharedInflate:
         assert sum(w.stats.frames_inflated for w in workers) == 1
         assert sum(w.stats.receives_shared for w in workers) == 4
         assert [w.stats.chunks_received for w in workers] == [1] * 5
+        assert [w._assembler.completed_batches for w in workers] == [1] * 5
 
     def test_equal_content_in_distinct_objects_is_not_shared(self, broker, inflates, decodes):
         (first, second), got = self._receivers(broker, 2)

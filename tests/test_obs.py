@@ -362,9 +362,10 @@ class TestRunnerFlightRecorder:
         )
 
     def test_shared_inflate_counters_on_a_control_fleet(self, monkeypatch):
-        """48 clients over 3 bridged regions, no training, zlib on: a
-        compressed publish is inflated by one of its receivers, and again only
-        where an interleaved publish evicted it from the one-entry memo."""
+        """48 clients over 3 bridged regions, no training, zlib on: a publish
+        is inflated and decoded by one of its receivers and shared with the
+        rest, except where an interleaved publish evicted it from the
+        one-entry memo first."""
         compressed_publishes = []
         real = rfc.compress_frame
 
@@ -380,8 +381,14 @@ class TestRunnerFlightRecorder:
         published = len(compressed_publishes)
         second = ScenarioRunner().run(spec).metrics["gauges"]
         assert published > 0 and len(compressed_publishes) == 2 * published
-        assert published <= first["endpoint_frames_inflated"] < 1.1 * published
-        assert first["endpoint_receives_shared"] > 10 * first["endpoint_frames_sent_level1"]  # 48-way fan-out
+        assert published == 150
+        # Raw frames (small responses, point-to-point requests, control
+        # notices) share the memo slot, so 7 compressed broadcasts are evicted
+        # by an interleaved raw frame before their last receiver and inflated
+        # a second time.  In exchange raw publishes are shared too: 410 shared
+        # receives where an inflate-only memo shared 282 for 150 inflates.
+        assert first["endpoint_frames_inflated"] == published + 7
+        assert first["endpoint_receives_shared"] == 410
         # Every model frame (uploads, relayed aggregates, globals) is float32
         # and entropy-coded only; the JSON topologies take level 1.
         assert first["endpoint_frames_sent_huffman"] > first["endpoint_frames_sent_level1"] > 0
