@@ -28,9 +28,7 @@ from conftest import emit, fast_mode
 from repro.mqttfc.codecs import make_update_codec
 from repro.mqttfc.serialization import (
     decode_payload,
-    encode_payload,
     encode_payload_frame,
-    payload_size,
 )
 
 #: ~10 MB of float32 parameters (the acceptance target for the zero-copy
@@ -57,8 +55,6 @@ def test_encode_is_zero_copy_per_leaf():
         # not a copy of its bytes.
         assert np.shares_memory(np.frombuffer(segment, dtype=np.uint8), array)
 
-    # Sizing never materializes either: same number, no gather.
-    assert payload_size(payload) == frame.nbytes
     # The single gather happens only on request, and is cached.
     raw = frame.tobytes()
     assert len(raw) == frame.nbytes
@@ -67,7 +63,7 @@ def test_encode_is_zero_copy_per_leaf():
 
 def test_decode_views_alias_the_frame():
     state = _state_dict(1)
-    raw = encode_payload({"state": state})
+    raw = encode_payload_frame({"state": state}).tobytes()
     decoded = decode_payload(raw, copy_arrays=False)["state"]
     for name, source in state.items():
         view = decoded[name]
@@ -88,7 +84,7 @@ def test_update_codec_encode_reuses_scratch_without_copies():
     state = _state_dict(STATE_MB)
     codec = make_update_codec("int8")
     first = codec.encode_state("bench_session", state)
-    buffers = codec.arena.buffers()
+    buffers = list(codec.arena._buffers.values())
     for entry in first["tensors"]:
         # Identity, not just shares_memory: the payload *is* the scratch.
         assert any(entry["data"] is buffer for buffer in buffers)
@@ -118,7 +114,7 @@ def test_update_codec_wire_aliases_scratch_in_the_frame():
     encoded = codec.encode_state("bench_session", state)
     frame = encode_payload_frame({"state": encoded, "round_index": 1})
 
-    scratch = codec.arena.buffers()
+    scratch = list(codec.arena._buffers.values())
     data_arrays = [entry["data"] for entry in encoded["tensors"]]
     leaf_segments = frame.segments[1:]
     assert len(leaf_segments) == len(data_arrays)
@@ -131,7 +127,7 @@ def test_update_codec_wire_aliases_scratch_in_the_frame():
 def test_update_codec_decode_is_read_only():
     state = _state_dict(1)
     codec = make_update_codec("int8")
-    raw = encode_payload({"state": codec.encode_state("bench_session", state)})
+    raw = encode_payload_frame({"state": codec.encode_state("bench_session", state)}).tobytes()
     received = decode_payload(raw, copy_arrays=False)["state"]
     decoded = codec.decode_state("bench_session", received)
     for name, source in state.items():
@@ -144,11 +140,11 @@ def test_update_codec_decode_is_read_only():
 def test_codec_throughput(benchmark):
     state = _state_dict(STATE_MB)
     payload = {"state": state, "round_index": 0, "sender": "client_000"}
-    size_mb = payload_size(payload) / (1024 * 1024)
+    size_mb = encode_payload_frame(payload).nbytes / (1024 * 1024)
 
     def round_trip():
         start = time.perf_counter()
-        raw = encode_payload(payload)
+        raw = encode_payload_frame(payload).tobytes()
         encode_s = time.perf_counter() - start
         start = time.perf_counter()
         decoded = decode_payload(raw, copy_arrays=False)

@@ -23,7 +23,6 @@ from conftest import emit
 
 from repro.experiments.fig8_delay import Fig8Config, run_fig8
 from repro.experiments.report import format_series, format_table
-from repro.utils.timing import format_duration
 
 
 def test_fig8_processing_delay(benchmark, bench_fast):
@@ -34,8 +33,8 @@ def test_fig8_processing_delay(benchmark, bench_fast):
     pretty_rows = [
         {
             "num_clients": n,
-            "hierarchical": format_duration(h),
-            "central": format_duration(c),
+            "hierarchical": f"{h:.3f} s",
+            "central": f"{c:.3f} s",
             "gap_s": f"{h - c:+.1f}",
         }
         for n, h, c in zip(

@@ -72,11 +72,11 @@ def test_grid_parallel_speedup(benchmark, bench_fast):
         f"serial wall:      {serial_s:.3f} s\n"
         f"parallel wall:    {parallel_s:.3f} s\n"
         f"speedup:          {speedup:.2f}x\n"
-        f"signatures equal: {serial.signatures() == parallel.signatures()}",
+        f"signatures equal: {[cell.signature for cell in serial.cells] == [cell.signature for cell in parallel.cells]}",
     )
 
     # The determinism contract is unconditional: same cells, same bytes.
-    assert serial.signatures() == parallel.signatures()
+    assert [cell.signature for cell in serial.cells] == [cell.signature for cell in parallel.cells]
     assert rows_to_csv(serial.summary_rows()) == rows_to_csv(parallel.summary_rows())
     assert len(serial.cells) == len(sweep.cells())
 
@@ -134,7 +134,7 @@ def test_persistent_pool_amortizes_worker_startup(benchmark, bench_fast):
 
     assert reused, "expected the shared runner to keep one pool across grids"
     for fresh, shared in zip(fresh_results, shared_results):
-        assert fresh.signatures() == shared.signatures()
+        assert [cell.signature for cell in fresh.cells] == [cell.signature for cell in shared.cells]
     # The shared session can only save work; allow generous noise headroom so
     # single-core CI boxes (where both modes are fork-cheap) stay green.
     assert shared_s < fresh_s * 1.5 + 2.0

@@ -31,11 +31,6 @@ class OfflineResult:
     losses: List[float] = field(default_factory=list)
     num_train_samples: int = 0
 
-    @property
-    def final_accuracy(self) -> float:
-        """Accuracy after the last round (0.0 if no rounds ran)."""
-        return self.accuracies[-1] if self.accuracies else 0.0
-
 
 class OfflineTrainingBaseline:
     """Train one model locally on a data fraction and track round-wise accuracy.

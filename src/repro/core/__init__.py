@@ -23,12 +23,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.core.coordinator": ("Coordinator", "CoordinatorConfig"),
         "repro.core.errors": (
             "SDFLMQError", "SessionError", "SessionFullError", "SessionNotFoundError",
-            "DuplicateSessionError", "RoleError", "AggregationError", "ModelNotRegisteredError",
+            "RoleError", "AggregationError", "ModelNotRegisteredError",
         ),
         "repro.core.load_balancer": ("LoadBalancer", "RebalanceResult"),
         "repro.core.messages": (
             "SessionRequest", "SessionAck", "JoinRequest", "JoinAck", "RoleAssignment",
-            "ClientStatsReport", "GlobalModelNotice",
+            "ClientStatsReport",
         ),
         "repro.core.model_controller": ("ModelController", "ModelRecord"),
         "repro.core.parameter_server": ("ParameterServer", "GlobalModelRecord"),

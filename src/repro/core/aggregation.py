@@ -102,12 +102,6 @@ class ModelContribution:
         self.epoch = int(epoch)
         self.nbytes = state_dict_nbytes(state)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ModelContribution(sender={self.sender_id!r}, weight={self.weight}, "
-            f"round={self.round_index}, epoch={self.epoch})"
-        )
-
 
 class ContributionBuffer:
     """Aggregation inbox for one (client, session) pair.
@@ -132,9 +126,6 @@ class ContributionBuffer:
         self.resources = resources
         self.pending: List[ModelContribution] = []
         self.buffered_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self.pending)
 
     def charged_nbytes(self, contributions: Sequence[ModelContribution]) -> int:
         """Bytes of ``contributions`` that were charged to the accountant.
@@ -215,12 +206,6 @@ class ContributionBuffer:
         self.buffered_bytes = 0
         self._release(released)
         return pending
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ContributionBuffer({self.owner_id!r}, pending={len(self.pending)}, "
-            f"bytes={self.buffered_bytes})"
-        )
 
 
 def _stack_contributions(
@@ -337,9 +322,6 @@ class AggregationStrategy:
         """Reduce a ``(num_models, num_params)`` matrix to a single vector."""
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"{type(self).__name__}()"
-
 
 class FedAvg(AggregationStrategy):
     """Sample-count-weighted federated averaging (the paper's choice)."""
@@ -437,11 +419,6 @@ class FedAvgMomentum(AggregationStrategy):
         updated = self._previous + self.server_lr * self._velocity
         self._previous = updated.copy()
         return updated
-
-    def reset(self) -> None:
-        """Forget the velocity (e.g. between sessions)."""
-        self._velocity = None
-        self._previous = None
 
 
 _REGISTRY: Dict[str, type] = {

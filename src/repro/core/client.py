@@ -47,12 +47,12 @@ from repro.ml.models import ClassifierModel
 from repro.ml.state import StateDict
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
-from repro.mqttfc.codecs import CODEC_WIRE_KEY, UpdateCodec, is_encoded_state
+from repro.mqttfc.codecs import CODEC_WIRE_KEY, is_encoded_state
 from repro.mqttfc.compression import CompressionConfig
 from repro.mqttfc.rfc import FleetControlEndpoint, PendingCall
 from repro.sim.device import DeviceStats
 from repro.sim.resources import ResourceAccountant
-from repro.utils.identifiers import validate_identifier
+from repro.utils.validation import validate_identifier
 
 __all__ = ["SDFLMQClient", "SessionParticipation"]
 
@@ -93,10 +93,6 @@ class SessionParticipation:
         """The FL round this client believes the session is in."""
         return self.rounds.current_round
 
-    @current_round.setter
-    def current_round(self, value: int) -> None:
-        self.rounds.current_round = int(value)
-
     @property
     def restart_epoch(self) -> int:
         """Highest ``round_restart`` epoch processed (stale contributions are dropped)."""
@@ -106,31 +102,6 @@ class SessionParticipation:
     def awaited_global_version(self) -> int:
         """Global model version the client expects after its last upload."""
         return self.rounds.awaited_global_version
-
-    @property
-    def own_contribution_sent(self) -> bool:
-        """Whether this round's own update already entered the local buffer."""
-        return self.rounds.own_contribution_sent
-
-    @property
-    def uploads_sent(self) -> int:
-        """Local updates uploaded so far (including restart re-sends)."""
-        return self.rounds.uploads_sent
-
-    @property
-    def completed(self) -> bool:
-        """Whether the coordinator announced session completion."""
-        return self.rounds.completed
-
-    @property
-    def pending_contributions(self) -> List[ModelContribution]:
-        """Buffered peer contributions (the buffer's live list)."""
-        return self.buffer.pending
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes of contribution state currently buffered."""
-        return self.buffer.buffered_bytes
 
 
 class SDFLMQClient:
@@ -209,9 +180,6 @@ class SDFLMQClient:
 
         # Private control functions every client serves.
         self.endpoint.register("set_role", self._handle_set_role, client_call_topic(client_id, "set_role"))
-        self.endpoint.register(
-            "reset_role", self._handle_reset_role, client_call_topic(client_id, "reset_role")
-        )
 
         if broker is not None:
             self.connect(broker)
@@ -230,37 +198,15 @@ class SDFLMQClient:
             self.mqtt.connect(broker)
         self.endpoint.start()
         self.mqtt.subscribe(client_call_topic(self.client_id, "set_role"), self.endpoint.qos)
-        self.mqtt.subscribe(client_call_topic(self.client_id, "reset_role"), self.endpoint.qos)
         self.mqtt.publish(presence_topic(self.client_id), b"online", qos=1, retain=True)
-
-    def leave(self) -> None:
-        """Gracefully announce departure and disconnect.
-
-        Unlike an ungraceful drop, this publishes the ``offline`` marker
-        explicitly so the coordinator can remove the client immediately.
-        """
-        if self.mqtt.connected:
-            self.mqtt.publish(presence_topic(self.client_id), b"offline", qos=1, retain=True)
-        self.disconnect(unexpected=False)
 
     def disconnect(self, unexpected: bool = False) -> None:
         """Disconnect from the broker."""
         self.mqtt.disconnect(unexpected=unexpected)
 
-    def loop(self) -> int:
-        """Process pending messages for this client only; returns the count."""
-        return self.mqtt.loop()
-
     def _pump(self) -> None:
         if self.pump is not None:
             self.pump()
-        else:
-            self.mqtt.loop_until_empty()
-
-    @property
-    def update_codec(self) -> Optional[UpdateCodec]:
-        """The endpoint's update-compression codec (None when disabled)."""
-        return self.endpoint.update_codec
 
     # ------------------------------------------------------------ public API
 
@@ -424,14 +370,6 @@ class SDFLMQClient:
         """Current role in ``session_id``."""
         return self.arbiter.role(session_id)
 
-    def current_round(self, session_id: str) -> int:
-        """The FL round this client believes ``session_id`` is in."""
-        return self._participation(session_id).current_round
-
-    def session_completed(self, session_id: str) -> bool:
-        """Whether the coordinator announced completion of ``session_id``."""
-        return self._participation(session_id).completed
-
     def participation(self, session_id: str) -> SessionParticipation:
         """The client-side participation record (raises if not participating)."""
         return self._participation(session_id)
@@ -527,10 +465,6 @@ class SDFLMQClient:
             return  # idle / unknown destination: keep the buffer until reassigned
         for contribution in participation.buffer.drain():
             self._publish_contribution(session_id, role_state.parent_id, contribution)
-
-    def _handle_reset_role(self, session_id: str) -> None:
-        change = self.arbiter.reset_role(session_id)
-        self._apply_topic_change(session_id, change)
 
     def _apply_topic_change(self, session_id: str, change: TopicChange) -> None:
         # The params inbox is session-scoped (see _subscribe_session_topics),
@@ -771,9 +705,3 @@ class SDFLMQClient:
         if not self.models.has_model(session_id):
             return  # e.g. an aggregator-only client with no local model registered
         self.models.apply_global(session_id, payload["state"], round_index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"SDFLMQClient({self.client_id!r}, sessions={len(self._sessions)}, "
-            f"connected={self.mqtt.connected})"
-        )

@@ -15,9 +15,6 @@ Two policies cover the paper's evaluation:
 * ``"hierarchical"`` — a 2-layer aggregation tree where roughly
   ``aggregator_fraction`` of the clients act as aggregators (30 % in the
   paper), one of which is promoted to root.
-
-Arbitrary deeper hierarchies are supported through ``max_children`` — the
-engine keeps adding levels while any aggregator would exceed its fan-in bound.
 """
 
 from __future__ import annotations
@@ -43,11 +40,6 @@ class ClusterNode:
     level: int
     parent_id: Optional[str] = None
     children: List[str] = field(default_factory=list)
-
-    @property
-    def is_root(self) -> bool:
-        """Whether this node is the root aggregator."""
-        return self.parent_id is None and self.role.aggregates
 
     @property
     def fan_in(self) -> int:
@@ -80,11 +72,6 @@ class ClusterTopology:
         return sorted(cid for cid, node in self.nodes.items() if node.role.aggregates)
 
     @property
-    def trainer_ids(self) -> List[str]:
-        """Ids of all clients with a training role (sorted)."""
-        return sorted(cid for cid, node in self.nodes.items() if node.role.trains)
-
-    @property
     def num_levels(self) -> int:
         """Number of distinct hierarchy levels (root = level 0)."""
         if not self.nodes:
@@ -94,22 +81,6 @@ class ClusterTopology:
     def node(self, client_id: str) -> ClusterNode:
         """Node for ``client_id`` (KeyError if absent)."""
         return self.nodes[client_id]
-
-    def children_of(self, client_id: str) -> List[str]:
-        """Children of ``client_id`` in the aggregation tree."""
-        return list(self.nodes[client_id].children)
-
-    def parent_of(self, client_id: str) -> Optional[str]:
-        """Parent aggregator of ``client_id`` (None for the root)."""
-        return self.nodes[client_id].parent_id
-
-    def aggregators_by_level(self) -> Dict[int, List[str]]:
-        """Aggregator ids grouped by hierarchy level (sorted within levels)."""
-        by_level: Dict[int, List[str]] = {}
-        for cid, node in self.nodes.items():
-            if node.role.aggregates:
-                by_level.setdefault(node.level, []).append(cid)
-        return {level: sorted(ids) for level, ids in sorted(by_level.items())}
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable description published on the session broadcast topic."""
@@ -127,26 +98,6 @@ class ClusterTopology:
                 for cid, node in self.nodes.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ClusterTopology":
-        """Inverse of :meth:`to_dict`."""
-        nodes = {
-            cid: ClusterNode(
-                client_id=cid,
-                role=Role.coerce(spec["role"]),
-                level=int(spec["level"]),
-                parent_id=spec.get("parent_id"),
-                children=list(spec.get("children", [])),
-            )
-            for cid, spec in dict(data["nodes"]).items()  # type: ignore[arg-type]
-        }
-        return cls(
-            session_id=str(data["session_id"]),
-            nodes=nodes,
-            root_id=str(data["root_id"]),
-            policy=str(data.get("policy", "hierarchical")),
-        )
 
     # ------------------------------------------------------------ validation
 
@@ -209,10 +160,6 @@ class ClusteringConfig:
     aggregator_fraction:
         Fraction of clients acting as aggregators under the hierarchical
         policy (the paper uses 0.30).
-    max_children:
-        Upper bound on any aggregator's fan-in; additional hierarchy levels
-        are introduced when the bound would be exceeded.  ``0`` disables the
-        bound (the paper's 2-layer configuration).
     aggregators_train:
         Whether selected aggregators also act as trainers
         (trainer/aggregator role), as in the paper's evaluation.
@@ -220,15 +167,12 @@ class ClusteringConfig:
 
     policy: str = "hierarchical"
     aggregator_fraction: float = 0.30
-    max_children: int = 0
     aggregators_train: bool = True
 
     def __post_init__(self) -> None:
         if self.policy not in ("hierarchical", "central"):
             raise ValueError(f"unknown clustering policy {self.policy!r}")
         require_in_range(self.aggregator_fraction, "aggregator_fraction", 0.0, 1.0, inclusive=False)
-        if self.max_children < 0:
-            raise ValueError("max_children must be >= 0")
 
 
 class ClusteringEngine:
@@ -386,41 +330,4 @@ class ClusteringEngine:
                 nodes[agg].role = Role.TRAINER
                 nodes[agg].level = 1
 
-        # Optionally split over-full clusters into deeper levels.
-        if self.config.max_children > 0:
-            self._enforce_fanout(nodes, root, agg_role)
-
         return ClusterTopology(session_id=session_id, nodes=nodes, root_id=root, policy="hierarchical")
-
-    def _enforce_fanout(self, nodes: Dict[str, ClusterNode], root: str, agg_role: Role) -> None:
-        """Split any aggregator whose fan-in exceeds ``max_children``.
-
-        Splitting promotes some of the over-full aggregator's trainer children
-        into trainer/aggregator sub-heads, pushing the extra fan-in one level
-        deeper.  This terminates because each pass strictly reduces the
-        maximum fan-in above the bound.
-        """
-        bound = self.config.max_children
-        changed = True
-        while changed:
-            changed = False
-            for agg_id in [cid for cid, n in nodes.items() if n.role.aggregates]:
-                node = nodes[agg_id]
-                if len(node.children) <= bound:
-                    continue
-                trainer_children = [c for c in node.children if not nodes[c].role.aggregates]
-                if len(trainer_children) < 2:
-                    continue
-                # Promote the first trainer child to a sub-aggregator and move
-                # the overflowing trainers beneath it.
-                promoted = trainer_children[0]
-                overflow = trainer_children[1 : 1 + (len(node.children) - bound)]
-                if not overflow:
-                    continue
-                nodes[promoted].role = agg_role
-                for moved in overflow:
-                    node.children.remove(moved)
-                    nodes[moved].parent_id = promoted
-                    nodes[moved].level = nodes[promoted].level + 1
-                    nodes[promoted].children.append(moved)
-                changed = True

@@ -21,7 +21,7 @@ clients whose role changed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.clustering import ClusteringConfig, ClusteringEngine
 from repro.core.errors import SessionNotFoundError
@@ -147,10 +147,6 @@ class Coordinator:
         if session is None:
             raise SessionNotFoundError(f"unknown session {session_id!r}")
         return session
-
-    def active_sessions(self) -> List[str]:
-        """Ids of sessions that are still active (sorted)."""
-        return sorted(sid for sid, s in self.sessions.items() if s.is_active)
 
     # ------------------------------------------------------- RFC: new session
 
@@ -491,13 +487,3 @@ class Coordinator:
         session.terminate(reason)
         self._broadcast(session, {"event": "session_terminated", "reason": reason})
         self._record("session_terminated", session_id, detail=reason)
-
-    def expire_sessions(self) -> List[str]:
-        """Terminate sessions whose wall-time budget has elapsed; returns their ids."""
-        expired = []
-        now = self._now()
-        for session in list(self.sessions.values()):
-            if session.is_active and session.expired(now):
-                self.terminate_session(session.session_id, reason="session time exceeded")
-                expired.append(session.session_id)
-        return expired

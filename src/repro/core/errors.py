@@ -7,7 +7,6 @@ __all__ = [
     "SessionError",
     "SessionFullError",
     "SessionNotFoundError",
-    "DuplicateSessionError",
     "RoleError",
     "AggregationError",
     "ModelNotRegisteredError",
@@ -28,10 +27,6 @@ class SessionFullError(SessionError):
 
 class SessionNotFoundError(SessionError, KeyError):
     """Raised when an operation references an unknown session id."""
-
-
-class DuplicateSessionError(SessionError):
-    """Raised when a session id is created twice (the paper: first request wins)."""
 
 
 class RoleError(SDFLMQError):

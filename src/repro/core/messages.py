@@ -22,8 +22,6 @@ __all__ = [
     "JoinAck",
     "RoleAssignment",
     "ClientStatsReport",
-    "RoundStatus",
-    "GlobalModelNotice",
 ]
 
 
@@ -75,10 +73,6 @@ class SessionAck:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SessionAck":
-        return cls(**data)
-
 
 @dataclass
 class JoinRequest:
@@ -111,10 +105,6 @@ class JoinAck:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JoinAck":
-        return cls(**data)
 
 
 @dataclass
@@ -169,36 +159,4 @@ class ClientStatsReport:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClientStatsReport":
-        return cls(**data)
-
-
-@dataclass
-class RoundStatus:
-    """Coordinator-side record of one FL round's completion state."""
-
-    session_id: str
-    round_index: int
-    reported_clients: List[str] = field(default_factory=list)
-    global_model_stored: bool = False
-    completed: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-@dataclass
-class GlobalModelNotice:
-    """Announcement that a new global model version is available."""
-
-    session_id: str
-    round_index: int
-    version: int
-    num_contributors: int
-    model_name: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GlobalModelNotice":
         return cls(**data)

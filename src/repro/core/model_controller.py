@@ -16,7 +16,7 @@ pipeline always observe a consistent view of "the model for session X":
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.errors import ModelNotRegisteredError
@@ -38,7 +38,6 @@ class ModelRecord:
     global_version: int = 0
     last_global_round: int = -1
     num_samples: int = 0
-    history: Dict[int, float] = field(default_factory=dict)
 
     @property
     def payload_nbytes(self) -> int:
@@ -74,10 +73,6 @@ class ModelController:
         self._records[session_id] = record
         return record
 
-    def unregister(self, session_id: str) -> bool:
-        """Remove the binding for ``session_id``; returns True if it existed."""
-        return self._records.pop(session_id, None) is not None
-
     def has_model(self, session_id: str) -> bool:
         """Whether a model is registered for ``session_id``."""
         return session_id in self._records
@@ -90,14 +85,6 @@ class ModelController:
                 f"client {self.client_id!r} has no model registered for session {session_id!r}"
             )
         return record
-
-    def model(self, session_id: str) -> ClassifierModel:
-        """The model bound to ``session_id``."""
-        return self.record(session_id).model
-
-    def sessions(self) -> list[str]:
-        """Sessions with registered models (sorted)."""
-        return sorted(self._records)
 
     # ------------------------------------------------------------- local side
 
@@ -134,7 +121,3 @@ class ModelController:
     def global_version(self, session_id: str) -> int:
         """Number of global updates applied so far for ``session_id``."""
         return self.record(session_id).global_version
-
-    def record_metric(self, session_id: str, round_index: int, value: float) -> None:
-        """Store a per-round scalar metric (test accuracy in the experiments)."""
-        self.record(session_id).history[int(round_index)] = float(value)

@@ -72,26 +72,12 @@ class ParameterServer:
 
         # One wildcard registration serves every session's store topic.
         self.endpoint.register("store_global", self._handle_store_global, _STORE_WILDCARD)
-        self.endpoint.register("fetch_global", self._handle_fetch_global)
 
     # ------------------------------------------------------------- accessors
-
-    def sessions(self) -> list[str]:
-        """Session ids with at least one stored global model (sorted)."""
-        return sorted(self._models)
 
     def record(self, session_id: str) -> GlobalModelRecord:
         """The stored record for ``session_id`` (KeyError if absent)."""
         return self._models[session_id]
-
-    def has_model(self, session_id: str) -> bool:
-        """Whether a global model is stored for ``session_id``."""
-        return session_id in self._models
-
-    def global_state(self, session_id: str) -> Optional[StateDict]:
-        """Latest global parameters for ``session_id`` (None if not stored yet)."""
-        record = self._models.get(session_id)
-        return None if record is None else record.state
 
     # ---------------------------------------------------------- RFC handlers
 
@@ -154,18 +140,6 @@ class ParameterServer:
             )
         return {"session_id": session_id, "version": record.version}
 
-    def _handle_fetch_global(self, session_id: str) -> dict:
-        record = self._models.get(session_id)
-        if record is None or record.state is None:
-            return {"session_id": session_id, "found": False}
-        return {
-            "session_id": session_id,
-            "found": True,
-            "version": record.version,
-            "round_index": record.round_index,
-            "state": record.state,
-        }
-
     # --------------------------------------------------------------- publish
 
     def _publish_update(self, record: GlobalModelRecord) -> None:
@@ -182,11 +156,3 @@ class ParameterServer:
             expect_response=False,
         )
         self.updates_published += 1
-
-    def republish(self, session_id: str) -> bool:
-        """Re-publish the latest global model (e.g. after clients reconnect)."""
-        record = self._models.get(session_id)
-        if record is None or record.state is None:
-            return False
-        self._publish_update(record)
-        return True

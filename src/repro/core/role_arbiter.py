@@ -33,11 +33,6 @@ class TopicChange:
     subscribe: Tuple[str, ...] = ()
     unsubscribe: Tuple[str, ...] = ()
 
-    @property
-    def is_noop(self) -> bool:
-        """Whether the role update requires no topic changes."""
-        return not self.subscribe and not self.unsubscribe
-
 
 @dataclass
 class RoleState:
@@ -52,11 +47,6 @@ class RoleState:
     level: int = 0
     params_topic: Optional[str] = None
 
-    @property
-    def is_root(self) -> bool:
-        """Whether this client is the root aggregator for the session."""
-        return self.role.aggregates and self.parent_id is None
-
 
 class RoleArbiter:
     """Tracks per-session roles for one client and derives topic changes."""
@@ -67,10 +57,6 @@ class RoleArbiter:
         self.role_changes = 0
 
     # -------------------------------------------------------------- accessors
-
-    def sessions(self) -> List[str]:
-        """Sessions the arbiter currently tracks (sorted)."""
-        return sorted(self._states)
 
     def state(self, session_id: str) -> RoleState:
         """Role state for ``session_id``; raises if the session is unknown."""
@@ -87,14 +73,6 @@ class RoleArbiter:
     def has_session(self, session_id: str) -> bool:
         """Whether the arbiter tracks ``session_id``."""
         return session_id in self._states
-
-    def expects_contributions(self, session_id: str) -> int:
-        """How many peer contributions the client should await this round."""
-        return self.state(session_id).expected_contributions
-
-    def forwarding_target(self, session_id: str) -> Optional[str]:
-        """Parent aggregator id to forward results to (None = parameter server)."""
-        return self.state(session_id).parent_id
 
     # ---------------------------------------------------------------- updates
 
@@ -146,22 +124,3 @@ class RoleArbiter:
         if old_topic and old_topic != new_topic:
             unsubscribe.append(old_topic)
         return TopicChange(subscribe=tuple(subscribe), unsubscribe=tuple(unsubscribe))
-
-    def reset_role(self, session_id: str) -> TopicChange:
-        """Drop back to IDLE for ``session_id`` (the ``reset_role`` message)."""
-        previous = self._states.get(session_id)
-        if previous is None:
-            return TopicChange()
-        old_topic = previous.params_topic
-        if previous.role != Role.IDLE:
-            self.role_changes += 1
-        self._states[session_id] = RoleState(session_id=session_id)
-        if old_topic:
-            return TopicChange(unsubscribe=(old_topic,))
-        return TopicChange()
-
-    def drop_session(self, session_id: str) -> TopicChange:
-        """Forget a session entirely (session terminated)."""
-        change = self.reset_role(session_id)
-        self._states.pop(session_id, None)
-        return change

@@ -132,14 +132,6 @@ class LifecycleEvent:
         self.client_id = client_id
         self.at = float(at)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"LifecycleEvent({self.kind!r}, round={self.round_index}, "
-            f"phase={self.phase.value!r}, epoch={self.epoch}"
-            + (f", client={self.client_id!r}" if self.client_id else "")
-            + ")"
-        )
-
 
 class RoundLifecycle:
     """Authoritative round state for one FL session.
@@ -182,11 +174,6 @@ class RoundLifecycle:
         """Register a listener called synchronously after every transition."""
         if listener not in self._listeners:
             self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[LifecycleEvent], None]) -> None:
-        """Remove a previously registered listener (no-op when absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def _emit(self, kind: str, client_id: str = "") -> None:
         event = LifecycleEvent(
@@ -342,18 +329,6 @@ class RoundLifecycle:
         self.deadline_at = None
         self._emit("deadline")
 
-    @property
-    def is_active(self) -> bool:
-        """Whether the lifecycle can still make progress."""
-        return self.phase is not RoundPhase.COMPLETE
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"RoundLifecycle({self.session_id!r}, phase={self.phase.value!r}, "
-            f"round={self.round_index}, epoch={self.epoch}, "
-            f"roster={len(self._roster)})"
-        )
-
 
 class PhaseTimer:
     """Per-round wall-of-simulation time spent in each lifecycle phase.
@@ -417,9 +392,6 @@ class PhaseTimer:
             "collecting_s": float(bucket.get("collecting_s", 0.0)),
             "aggregating_s": float(bucket.get("aggregating_s", 0.0)),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"PhaseTimer(rounds={sorted(self._times)})"
 
 
 class ClientRoundView:
@@ -501,16 +473,6 @@ class ClientRoundView:
         self.awaited_global_version = int(global_version) + 1
         self.uploads_sent += 1
 
-    def is_stale(self, epoch: int) -> bool:
-        """Whether a contribution stamped with ``epoch`` predates a restart."""
-        return int(epoch) < self.restart_epoch
-
     def awaiting_global(self, installed_version: int) -> bool:
         """Whether the client still waits for a global update it asked for."""
         return int(installed_version) < self.awaited_global_version
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ClientRoundView(round={self.current_round}, "
-            f"epoch={self.restart_epoch}, awaited={self.awaited_global_version})"
-        )

@@ -67,11 +67,6 @@ class FLSession:
         return self.request.session_id
 
     @property
-    def model_name(self) -> str:
-        """Name of the model being trained in this session."""
-        return self.request.model_name
-
-    @property
     def capacity_min(self) -> int:
         """Minimum number of contributors before the session can start."""
         return self.request.session_capacity_min
@@ -240,7 +235,3 @@ class FLSession:
         self.state = SessionState.TERMINATED
         self.lifecycle.complete()
         _ = reason  # retained for future structured logging
-
-    def expired(self, now: float) -> bool:
-        """Whether the session passed its wall-time budget at simulated time ``now``."""
-        return now - self.created_at > self.request.session_time_s

@@ -18,7 +18,7 @@ Layout (all under the ``sdflmq/`` root)::
 
 from __future__ import annotations
 
-from repro.utils.identifiers import validate_identifier
+from repro.utils.validation import validate_identifier
 
 __all__ = [
     "SDFLMQ_ROOT",
@@ -29,8 +29,6 @@ __all__ = [
     "aggregator_params_topic",
     "global_store_topic",
     "global_update_topic",
-    "session_status_topic",
-    "session_wildcard",
     "presence_topic",
     "PRESENCE_WILDCARD",
 ]
@@ -80,18 +78,6 @@ def global_update_topic(session_id: str) -> str:
     """Topic the parameter server publishes the synchronized global model on."""
     validate_identifier(session_id, "session id")
     return f"{SDFLMQ_ROOT}/session/{session_id}/global/update"
-
-
-def session_status_topic(session_id: str) -> str:
-    """Topic carrying per-round readiness/status reports (observability)."""
-    validate_identifier(session_id, "session id")
-    return f"{SDFLMQ_ROOT}/session/{session_id}/status"
-
-
-def session_wildcard(session_id: str) -> str:
-    """Filter matching every topic of one session (used by bridges and monitors)."""
-    validate_identifier(session_id, "session id")
-    return f"{SDFLMQ_ROOT}/session/{session_id}/#"
 
 
 #: Filter the coordinator subscribes to for client liveness updates.

@@ -25,6 +25,7 @@ reports; absolute values are not expected to match the authors' testbed.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -128,11 +129,34 @@ def _experiment_config(num_clients: int, policy: str, config: Fig8Config) -> Exp
     )
 
 
+#: glibc's ``mallopt`` parameter number for ``M_MMAP_THRESHOLD``.
+_M_MMAP_THRESHOLD = -3
+
+
+def _fix_mmap_threshold() -> None:
+    """Serve every allocation of 128 KiB or more from its own mapping (glibc).
+
+    glibc raises its mmap threshold whenever a mapped block is freed, so after
+    the first experiment the next one's arrays land on the heap, and the
+    sweep's peak RSS then depends on heap layout alone: one unused module
+    constant moved ``fig8 --fast`` between 64 and 68 MiB.  With the threshold
+    fixed, each experiment's arrays go back to the OS when they are freed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # not glibc
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
+
+
 def run_fig8(config: Fig8Config | None = None) -> Fig8Result:
     """Run the full client-count sweep for both aggregation topologies."""
     config = (config or Fig8Config()).effective()
     for count in config.client_counts:
         require_positive(count, "client count")
+    _fix_mmap_threshold()
 
     totals: Dict[str, List[float]] = {"hierarchical": [], "central": []}
     results: Dict[str, List[ExperimentResult]] = {"hierarchical": [], "central": []}

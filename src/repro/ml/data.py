@@ -38,9 +38,6 @@ class ArrayDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
-        return self.features[index], self.labels[index]
-
     @property
     def num_features(self) -> int:
         """Width of the feature matrix."""
@@ -58,12 +55,6 @@ class ArrayDataset:
         indices = np.asarray(indices, dtype=np.intp)
         return ArrayDataset(self.features[indices], self.labels[indices])
 
-    def class_counts(self) -> np.ndarray:
-        """Histogram of labels (length = num_classes)."""
-        if len(self.labels) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.bincount(self.labels.astype(np.int64), minlength=self.num_classes)
-
 
 class DataLoader:
     """Iterates a dataset in shuffled mini-batches.
@@ -79,20 +70,12 @@ class DataLoader:
         batch_size: int = 32,
         shuffle: bool = True,
         rng: Optional[np.random.Generator] = None,
-        drop_last: bool = False,
     ) -> None:
         require_positive(batch_size, "batch_size")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
         self.rng = rng or np.random.default_rng(0)
-        self.drop_last = bool(drop_last)
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return -(-n // self.batch_size) if n else 0
 
     def draw_order(self) -> np.ndarray:
         """One epoch's sample order, advancing the generator when shuffling."""
@@ -103,12 +86,8 @@ class DataLoader:
 
     def batches(self, order: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """The mini-batches of one epoch that visits the samples in ``order``."""
-        n = len(order)
-        end = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, end, self.batch_size):
+        for start in range(0, len(order), self.batch_size):
             batch = order[start : start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                break
             yield self.dataset.features[batch], self.dataset.labels[batch]
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

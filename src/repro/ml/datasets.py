@@ -21,7 +21,7 @@ from repro.ml.data import ArrayDataset
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import require_in_range, require_positive
 
-__all__ = ["SyntheticDigitsConfig", "synthetic_digits", "make_gaussian_blobs"]
+__all__ = ["SyntheticDigitsConfig", "synthetic_digits"]
 
 
 @dataclass(frozen=True)
@@ -108,23 +108,4 @@ def synthetic_digits(config: SyntheticDigitsConfig | None = None) -> ArrayDatase
     std = features.std()
     if std > 0:
         features = (features - mean) / std
-    return ArrayDataset(features, labels.astype(np.int64))
-
-
-def make_gaussian_blobs(
-    num_samples: int = 1000,
-    num_classes: int = 4,
-    num_features: int = 32,
-    separation: float = 3.0,
-    noise: float = 1.0,
-    seed: int = 0,
-) -> ArrayDataset:
-    """A simpler Gaussian-blob classification task for fast unit tests."""
-    require_positive(num_samples, "num_samples")
-    require_positive(num_classes, "num_classes")
-    require_positive(num_features, "num_features")
-    rng = rng_from_seed(seed, "gaussian_blobs")
-    centers = rng.normal(0.0, separation, size=(num_classes, num_features))
-    labels = rng.integers(0, num_classes, size=num_samples)
-    features = centers[labels] + rng.normal(0.0, noise, size=(num_samples, num_features))
     return ArrayDataset(features, labels.astype(np.int64))

@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "he_normal", "zeros", "normal"]
+__all__ = ["xavier_uniform", "he_normal", "zeros"]
 
 
 def xavier_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -20,11 +20,6 @@ def he_normal(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming normal initialization, suited to ReLU layers."""
     fan_in = shape[0]
     std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
-def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
-    """Plain Gaussian initialization with a small standard deviation."""
     return rng.normal(0.0, std, size=shape)
 
 

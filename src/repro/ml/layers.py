@@ -22,19 +22,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.ml.initializers import he_normal, xavier_uniform, zeros
-from repro.utils.validation import require_in_range, require_positive
+from repro.utils.validation import require_positive
 
-__all__ = [
-    "Layer",
-    "Linear",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
-    "Flatten",
-    "Sequential",
-]
+__all__ = ["Layer", "Linear", "ReLU", "Sequential"]
 
 
 class Layer:
@@ -61,9 +51,6 @@ class Layer:
     def num_parameters(self) -> int:
         """Total number of scalar parameters in this layer."""
         return int(sum(p.size for p in self.params.values()))
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
 
 
 class Linear(Layer):
@@ -146,106 +133,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise RuntimeError("backward called before a training-mode forward pass")
         return grad_output * self._mask
-
-
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        require_in_range(negative_slope, "negative_slope", 0.0, 1.0)
-        self.negative_slope = float(negative_slope)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = x > 0
-        self._mask = mask if training else None
-        return np.where(mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training-mode forward pass")
-        return grad_output * np.where(self._mask, 1.0, self.negative_slope)
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        self._output = out if training else None
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before a training-mode forward pass")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        self._output = out if training else None
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before a training-mode forward pass")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Dropout(Layer):
-    """Inverted dropout; a no-op outside training mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        require_in_range(p, "p", 0.0, 1.0, inclusive=True)
-        if p >= 1.0:
-            raise ValueError("dropout probability must be < 1.0")
-        self.p = float(p)
-        self.rng = rng or np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep) / keep
-        self._mask = mask
-        return x * mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class Flatten(Layer):
-    """Flattens all but the batch dimension."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = x.shape if training else None
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before a training-mode forward pass")
-        return grad_output.reshape(self._input_shape)
 
 
 class Sequential(Layer):

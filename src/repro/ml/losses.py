@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["softmax", "CrossEntropyLoss", "MSELoss"]
+__all__ = ["softmax", "CrossEntropyLoss"]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -56,33 +56,3 @@ class CrossEntropyLoss:
         grad[batch, self._labels] -= 1.0
         grad /= grad.shape[0]
         return grad
-
-    def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error over arbitrary-shaped predictions."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        """Mean of squared element-wise differences."""
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        """Gradient of the mean loss with respect to the predictions."""
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)

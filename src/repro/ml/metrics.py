@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "top_k_accuracy", "confusion_matrix"]
+__all__ = ["accuracy"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -24,29 +24,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         raise ValueError("cannot compute accuracy of zero samples")
     return float(np.mean(predictions == labels))
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose true label is within the top-k scored classes."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-    if not 1 <= k <= logits.shape[1]:
-        raise ValueError(f"k must be in [1, {logits.shape[1]}], got {k}")
-    top_k = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
-    hits = (top_k == labels[:, None]).any(axis=1)
-    return float(np.mean(hits))
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    """Confusion matrix with true classes as rows and predictions as columns."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.ndim == 2:
-        predictions = predictions.argmax(axis=1)
-    if num_classes is None:
-        num_classes = int(max(predictions.max(initial=0), labels.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels.astype(np.intp), predictions.astype(np.intp)), 1)
-    return matrix

@@ -15,15 +15,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.ml.data import ArrayDataset, DataLoader
-from repro.ml.layers import Dropout, Linear, ReLU, Sequential, Tanh
+from repro.ml.layers import Linear, ReLU, Sequential
 from repro.ml.losses import CrossEntropyLoss
 from repro.ml.metrics import accuracy
 from repro.ml.optim import Adam, Optimizer
-from repro.ml.state import state_dict_nbytes, state_dict_num_parameters
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import require_positive
 
-__all__ = ["ClassifierModel", "make_mlp", "make_logistic_regression", "make_paper_mlp"]
+__all__ = ["ClassifierModel", "make_mlp", "make_paper_mlp"]
 
 
 def make_mlp(
@@ -31,10 +30,8 @@ def make_mlp(
     hidden_dims: tuple[int, ...] = (64,),
     num_classes: int = 10,
     seed: int = 0,
-    dropout: float = 0.0,
-    activation: str = "relu",
 ) -> Sequential:
-    """Build a fully connected MLP classifier network.
+    """Build a fully connected ReLU MLP classifier network.
 
     Parameters
     ----------
@@ -48,10 +45,6 @@ def make_mlp(
         Seed for weight initialization; identical seeds produce identical
         initial weights, which FL experiments rely on to start every client
         from the same global model.
-    dropout:
-        Dropout probability applied after each hidden activation (0 disables).
-    activation:
-        ``"relu"`` or ``"tanh"``.
     """
     require_positive(input_dim, "input_dim")
     require_positive(num_classes, "num_classes")
@@ -60,25 +53,11 @@ def make_mlp(
     previous = input_dim
     for layer_index, width in enumerate(hidden_dims):
         require_positive(width, f"hidden_dims[{layer_index}]")
-        init = "he" if activation == "relu" else "xavier"
-        layers.append(Linear(previous, width, rng=rng, init=init))
-        if activation == "relu":
-            layers.append(ReLU())
-        elif activation == "tanh":
-            layers.append(Tanh())
-        else:
-            raise ValueError(f"unknown activation {activation!r}")
-        if dropout > 0.0:
-            layers.append(Dropout(dropout, rng=rng_from_seed(seed, "dropout", layer_index)))
+        layers.append(Linear(previous, width, rng=rng, init="he"))
+        layers.append(ReLU())
         previous = width
     layers.append(Linear(previous, num_classes, rng=rng, init="xavier"))
     return Sequential(layers)
-
-
-def make_logistic_regression(input_dim: int, num_classes: int, seed: int = 0) -> Sequential:
-    """A single linear layer (multinomial logistic regression)."""
-    rng = rng_from_seed(seed, "logreg-init")
-    return Sequential([Linear(input_dim, num_classes, rng=rng, init="xavier")])
 
 
 def make_paper_mlp(input_dim: int = 256, num_classes: int = 10, seed: int = 0) -> Sequential:
@@ -110,10 +89,6 @@ class ClassifierModel:
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
         return self.network.num_parameters
-
-    def payload_nbytes(self, dtype: str = "float32") -> int:
-        """Size of the state dict if transmitted with the given element type."""
-        return state_dict_nbytes(self.network.state_dict(copy=False), dtype)
 
     # ------------------------------------------------------------- train/eval
 
@@ -185,13 +160,3 @@ class ClassifierModel:
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Overwrite the network parameters from ``state``."""
         self.network.load_state_dict(state)
-
-    def clone_state(self) -> Dict[str, np.ndarray]:
-        """Alias of ``state_dict(copy=True)`` kept for readability at call sites."""
-        return self.state_dict(copy=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ClassifierModel(name={self.name!r}, parameters={self.num_parameters}, "
-            f"layers={len(self.network.layers)})"
-        )

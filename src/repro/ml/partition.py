@@ -22,19 +22,7 @@ import numpy as np
 from repro.ml.data import ArrayDataset
 from repro.utils.validation import require_positive
 
-__all__ = ["iid_partition", "dirichlet_partition", "shard_partition", "fraction_subsample"]
-
-
-def fraction_subsample(
-    dataset: ArrayDataset, fraction: float, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Return indices selecting a random ``fraction`` of the dataset."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    rng = rng or np.random.default_rng(0)
-    n = len(dataset)
-    count = max(1, int(round(n * fraction)))
-    return rng.choice(n, size=count, replace=False)
+__all__ = ["iid_partition", "dirichlet_partition", "shard_partition"]
 
 
 def iid_partition(

@@ -1,10 +1,10 @@
-"""State-dict utilities: sizes, flattening and comparison.
+"""State-dict utilities: sizes, flattening and casting.
 
 A "state dict" throughout the reproduction is an ordered ``dict[str,
 np.ndarray]`` mapping parameter names to arrays, exactly what
 ``Sequential.state_dict()`` returns.  These helpers are used by the model
-controller (payload sizing), the aggregation strategies (vectorized reduction
-over flattened views) and the tests.
+controller (payload sizing and wire casts) and the aggregation strategies
+(vectorized reduction over flattened views).
 """
 
 from __future__ import annotations
@@ -14,21 +14,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 __all__ = [
-    "state_dict_num_parameters",
     "state_dict_nbytes",
     "flatten_state_dict",
     "unflatten_state_dict",
-    "zeros_like_state_dict",
-    "state_dicts_allclose",
     "cast_state_dict",
 ]
 
 StateDict = Dict[str, np.ndarray]
-
-
-def state_dict_num_parameters(state: StateDict) -> int:
-    """Total number of scalar parameters across all entries."""
-    return int(sum(np.asarray(v).size for v in state.values()))
 
 
 def state_dict_nbytes(state: StateDict, dtype: np.dtype | str | None = None) -> int:
@@ -78,24 +70,7 @@ def unflatten_state_dict(
     return out
 
 
-def zeros_like_state_dict(state: StateDict) -> StateDict:
-    """Return a state dict of zeros with the same keys/shapes/dtypes."""
-    return {name: np.zeros_like(np.asarray(value)) for name, value in state.items()}
-
-
 def cast_state_dict(state: StateDict, dtype: np.dtype | str) -> StateDict:
     """Return a copy of ``state`` with every array cast to ``dtype`` (contiguous)."""
     dtype = np.dtype(dtype)
     return {name: np.ascontiguousarray(np.asarray(value), dtype=dtype) for name, value in state.items()}
-
-
-def state_dicts_allclose(a: StateDict, b: StateDict, rtol: float = 1e-6, atol: float = 1e-8) -> bool:
-    """Whether two state dicts have identical keys and element-wise close values."""
-    if set(a) != set(b):
-        return False
-    for name in a:
-        if np.asarray(a[name]).shape != np.asarray(b[name]).shape:
-            return False
-        if not np.allclose(a[name], b[name], rtol=rtol, atol=atol):
-            return False
-    return True

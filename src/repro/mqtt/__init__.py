@@ -5,8 +5,7 @@ clients.  This package provides an in-process, deterministic re-implementation
 of the MQTT 3.1.1 semantics the framework relies on:
 
 * hierarchical topics with ``+`` and ``#`` wildcard subscriptions,
-* QoS 0/1/2 delivery semantics (with per-QoS protocol message overhead
-  accounted for in the traffic statistics),
+* QoS 0/1/2 delivery semantics,
 * retained messages,
 * last-will messages and persistent (non-clean) sessions,
 * broker *bridging* so several brokers can share topic spaces (paper §III.F),
@@ -14,7 +13,7 @@ of the MQTT 3.1.1 semantics the framework relies on:
   simulation layer to attribute transfer delays to each message.
 
 Clients expose a paho-like API (``connect`` / ``subscribe`` / ``publish`` /
-``on_message`` / ``loop``), so the SDFLMQ layers above read almost identically
+``on_message``), so the SDFLMQ layers above read almost identically
 to code written against the real paho client.
 """
 
@@ -31,8 +30,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.mqtt.topics": (
             "topic_matches_filter", "validate_topic", "validate_topic_filter", "TopicTrie",
         ),
-        "repro.mqtt.network": ("LinkProfile", "NetworkModel", "TrafficLog", "TrafficRecord"),
-        "repro.mqtt.broker": ("MQTTBroker", "BrokerStats", "Subscription"),
+        "repro.mqtt.network": ("LinkProfile", "NetworkModel"),
+        "repro.mqtt.broker": ("MQTTBroker", "BrokerStats"),
         "repro.mqtt.client": ("MQTTClient",),
         "repro.mqtt.bridge": ("BrokerBridge", "BridgeRule"),
     },

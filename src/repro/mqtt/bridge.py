@@ -71,15 +71,6 @@ class BrokerBridge:
         local.attach_bridge(self)
         remote.attach_bridge(self)
 
-    def close(self) -> None:
-        """Detach the bridge from both brokers."""
-        self.local.detach_bridge(self)
-        self.remote.detach_bridge(self)
-
-    def add_rule(self, rule: BridgeRule) -> None:
-        """Add a forwarding rule at runtime."""
-        self.rules.append(rule)
-
     def _should_forward(self, topic: str, outbound_from_local: bool) -> bool:
         for rule in self.rules:
             if not topic_matches_filter(topic, rule.topic_filter):
@@ -114,6 +105,3 @@ class BrokerBridge:
         else:
             self.forwarded_remote_to_local += 1
         return 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"BrokerBridge({self.local.name!r} <-> {self.remote.name!r}, rules={len(self.rules)})"

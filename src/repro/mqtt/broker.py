@@ -1,12 +1,13 @@
 """The in-process MQTT broker.
 
 The broker owns the subscription trie, retained messages, client sessions
-(including persistent sessions and last-will handling) and the traffic log.
+(including persistent sessions and last-will handling) and the traffic
+counters in :class:`BrokerStats`.
 Message delivery is *queued*: a publish places :class:`DeliveryRecord` objects
 in each subscriber's inbox — or, when an
 :class:`~repro.runtime.scheduler.EventScheduler` is attached, in its
-time-ordered event heap.  Subscribers process them when their ``loop()`` is
-pumped or the scheduler drains.  This keeps routing deterministic and avoids
+time-ordered event heap.  Subscribers process them when the scheduler
+collects and drains them.  This keeps routing deterministic and avoids
 unbounded recursion when a message handler publishes further messages (which
 is constant behaviour in the SDFLMQ choreography).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -24,18 +25,8 @@ from repro.mqtt.errors import (
     InvalidTopicError,
     PayloadTooLargeError,
 )
-from repro.mqtt.messages import (
-    QOS_HANDSHAKE_PACKETS,
-    DeliveryRecord,
-    MQTTMessage,
-    QoS,
-)
-from repro.mqtt.network import (
-    PACKET_OVERHEAD_BYTES,
-    NetworkModel,
-    TrafficLog,
-    TrafficRecord,
-)
+from repro.mqtt.messages import DeliveryRecord, MQTTMessage, QoS
+from repro.mqtt.network import PACKET_OVERHEAD_BYTES, NetworkModel
 from repro.mqtt.topics import (
     TopicTrie,
     topic_matches_filter,
@@ -48,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mqtt.bridge import BrokerBridge
     from repro.runtime.scheduler import EventScheduler
 
-__all__ = ["MQTTBroker", "BrokerStats", "Subscription"]
+__all__ = ["MQTTBroker", "BrokerStats"]
 
 
 class DeliveryTarget(Protocol):
@@ -58,15 +49,6 @@ class DeliveryTarget(Protocol):
 
     def _deliver(self, record: DeliveryRecord) -> None:  # pragma: no cover - protocol
         ...
-
-
-@dataclass(frozen=True)
-class Subscription:
-    """A (client, filter, qos) triple held by the broker."""
-
-    client_id: str
-    topic_filter: str
-    qos: QoS
 
 
 @dataclass
@@ -104,30 +86,22 @@ class _ClientSession:
 #: loop, so small fan-outs (unicast request/reply traffic) stay scalar.
 _VECTOR_MIN_FANOUT = 8
 
-#: Cap on cached sender-excluded subplans per route plan (echo suppression
-#: when the publisher subscribes to its own topic).  Beyond this many distinct
-#: in-plan senders the publish falls back to the scalar loop rather than
-#: growing the cache without bound.
-_MAX_MINUS_PLANS = 8
-
 
 class _RoutePlan:
     """Memoized fan-out plan for one concrete topic, plus lazy vector caches.
 
     ``entries`` is the canonical ``[(client_id, granted QoS, matched filter)]``
-    list sorted by client id; iteration/len index straight into it, so every
-    scalar consumer sees exactly the old plain-list plan.  Everything else is
-    derived lazily and cached for the vectorized publish path, keyed to the
-    generation counter of whatever it was derived from:
+    list sorted by client id, which the scalar publish loop walks.  Everything
+    else is derived lazily and cached for the vectorized publish path, keyed
+    to the generation counter of whatever it was derived from:
 
     * delivery targets — valid while ``broker._session_epoch`` is unchanged
       (no connect/disconnect means the verified-connected set cannot change);
     * per-receiver latency/bandwidth vectors and the jitter-free / loss-free
       flags — valid while ``network.version`` is unchanged;
-    * per-publish-QoS effective-QoS lists, FIFO-clamp pair ids (interned in an
-      :class:`~repro.runtime.scheduler.EventScheduler`), traffic-log id
-      arrays, and sender-excluded subplans — valid for the plan's lifetime
-      (any subscription change builds a fresh plan).
+    * per-publish-QoS effective-QoS lists and FIFO-clamp pair ids (interned
+      in an :class:`~repro.runtime.scheduler.EventScheduler`) — valid for the
+      plan's lifetime (any subscription change builds a fresh plan).
     """
 
     __slots__ = (
@@ -144,9 +118,6 @@ class _RoutePlan:
         "_net_version",
         "_eqos",
         "_fifo",
-        "_traffic",
-        "_traffic_senders",
-        "_minus",
     )
 
     def __init__(self, entries: List[Tuple[str, QoS, str]]) -> None:
@@ -161,20 +132,8 @@ class _RoutePlan:
         self._jitter_free = False
         self._loss_free = False
         self._net_version = -1
-        self._eqos: Dict[int, Tuple[List[int], bool, List[int]]] = {}
+        self._eqos: Dict[int, Tuple[List[int], bool]] = {}
         self._fifo: Dict[Tuple[int, Optional[str]], Tuple[int, np.ndarray, List[int]]] = {}
-        self._traffic: Optional[Tuple[TrafficLog, int, np.ndarray]] = None
-        self._traffic_senders: Dict[Optional[str], int] = {}
-        self._minus: Optional[Dict[str, "_RoutePlan"]] = None
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, index):
-        return self.entries[index]
 
     @property
     def receiver_ids(self) -> List[str]:
@@ -197,21 +156,6 @@ class _RoutePlan:
                 entry[0]: index for index, entry in enumerate(self.entries)
             }
         return pos.get(client_id)
-
-    def minus_sender(self, sender_id: str) -> Optional["_RoutePlan"]:
-        """This plan with ``sender_id``'s entry removed (echo suppression)."""
-        minus = self._minus
-        if minus is None:
-            minus = self._minus = {}
-        sub = minus.get(sender_id)
-        if sub is None:
-            if len(minus) >= _MAX_MINUS_PLANS:
-                return None
-            sub = _RoutePlan(
-                [entry for entry in self.entries if entry[0] != sender_id]
-            )
-            minus[sender_id] = sub
-        return sub
 
     def targets(self, broker: "MQTTBroker") -> Optional[List[DeliveryTarget]]:
         """Live targets per entry; ``None`` unless every receiver is connected.
@@ -248,10 +192,8 @@ class _RoutePlan:
             self._net_version = network.version
         return self._lat, self._bw, self._jitter_free, self._loss_free
 
-    def effective_qos(
-        self, publish_qos: QoS
-    ) -> Tuple[List[int], bool, List[int]]:
-        """``(per-member effective QoS, any-QoS0, per-member handshake packets)``."""
+    def effective_qos(self, publish_qos: QoS) -> Tuple[List[int], bool]:
+        """``(per-member effective QoS, any-QoS0)``."""
         key = int(publish_qos)
         cached = self._eqos.get(key)
         if cached is None:
@@ -259,8 +201,7 @@ class _RoutePlan:
                 key if key <= sub_qos else int(sub_qos)
                 for _cid, sub_qos, _matched in self.entries
             ]
-            handshakes = [QOS_HANDSHAKE_PACKETS[q] for q in eqos]
-            cached = self._eqos[key] = (eqos, 0 in eqos, handshakes)
+            cached = self._eqos[key] = (eqos, 0 in eqos)
         return cached
 
     def fifo_ids(
@@ -275,87 +216,6 @@ class _RoutePlan:
             )
             cached = self._fifo[key] = (sender_idx, pair_arr, receiver_list)
         return cached
-
-    def traffic_ids(
-        self, traffic: TrafficLog, topic: str, sender_id: Optional[str]
-    ) -> Tuple[int, int, np.ndarray]:
-        """Interned (sender, topic, receivers) ids in ``traffic``'s id space."""
-        cached = self._traffic
-        if cached is None or cached[0] is not traffic:
-            cached = self._traffic = (
-                traffic,
-                traffic.intern(topic),
-                traffic.intern_many(self.receiver_ids),
-            )
-            self._traffic_senders.clear()
-        sender_idx = self._traffic_senders.get(sender_id)
-        if sender_idx is None:
-            sender_idx = self._traffic_senders[sender_id] = traffic.intern(
-                sender_id or "?"
-            )
-        return sender_idx, cached[1], cached[2]
-
-
-class _FanoutDeliveries(Sequence[DeliveryRecord]):
-    """Lazy ``publish()`` result for a vectorized fan-out.
-
-    The hot path creates no :class:`DeliveryRecord` objects; callers that do
-    inspect the result (tests, the simulation layer) get records materialized
-    on demand from the plan entries plus the scheduler's clamped times.  Each
-    access builds a fresh snapshot — the in-flight state itself lives in the
-    scheduler's columns.
-    """
-
-    __slots__ = ("_message", "_entries", "_eqos", "_deliver_at", "_unclamped", "_seq0")
-
-    def __init__(
-        self,
-        message: MQTTMessage,
-        entries: List[Tuple[str, QoS, str]],
-        eqos: List[int],
-        deliver_at: np.ndarray,
-        unclamped: Optional[np.ndarray],
-        seq0: int,
-    ) -> None:
-        self._message = message
-        self._entries = entries
-        self._eqos = eqos
-        self._deliver_at = deliver_at
-        self._unclamped = unclamped
-        self._seq0 = seq0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _materialize(self, index: int) -> DeliveryRecord:
-        unclamped: Optional[float] = None
-        if self._unclamped is not None:
-            value = self._unclamped[index]
-            if value == value:  # not NaN
-                unclamped = float(value)
-        client_id, _sub_qos, matched_filter = self._entries[index]
-        return DeliveryRecord(
-            message=self._message,
-            subscriber_id=client_id,
-            subscription_filter=matched_filter,
-            effective_qos=QoS(self._eqos[index]),
-            deliver_at=float(self._deliver_at[index]),
-            sequence=self._seq0 + index,
-            unclamped_deliver_at=unclamped,
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._materialize(i) for i in range(*index.indices(len(self._entries)))]
-        if index < 0:
-            index += len(self._entries)
-        if not 0 <= index < len(self._entries):
-            raise IndexError(index)
-        return self._materialize(index)
-
-    def __iter__(self):
-        for index in range(len(self._entries)):
-            yield self._materialize(index)
 
 
 class MQTTBroker:
@@ -431,7 +291,6 @@ class MQTTBroker:
         self._session_epoch = 0
         self.scheduler: Optional["EventScheduler"] = None
         self.stats = BrokerStats()
-        self.traffic = TrafficLog()
 
     # ------------------------------------------------------------------ time
 
@@ -524,11 +383,6 @@ class MQTTBroker:
         """Ids of currently connected clients (sorted for determinism)."""
         return sorted(cid for cid, s in self._sessions.items() if s.connected)
 
-    @property
-    def session_count(self) -> int:
-        """Number of sessions (connected or persistent-offline) the broker holds."""
-        return len(self._sessions)
-
     # --------------------------------------------------------- subscriptions
 
     def subscribe(self, client_id: str, topic_filter: str, qos: QoS | int = QoS.AT_MOST_ONCE) -> QoS:
@@ -555,27 +409,6 @@ class MQTTBroker:
                     self._hand_over(session, record)
         return qos
 
-    def unsubscribe(self, client_id: str, topic_filter: str) -> bool:
-        """Remove a subscription; returns True if it existed."""
-        session = self._require_session(client_id)
-        qos = session.subscriptions.pop(topic_filter, None)
-        if qos is None:
-            return False
-        self._subscriptions.remove(topic_filter, (client_id, qos))
-        self._invalidate_routes(topic_filter)
-        return True
-
-    def subscriptions_of(self, client_id: str) -> Dict[str, QoS]:
-        """Return a copy of the client's current subscription map."""
-        session = self._sessions.get(client_id)
-        if session is None:
-            return {}
-        return dict(session.subscriptions)
-
-    def subscriber_count(self, topic: str) -> int:
-        """Number of distinct clients whose filters match a concrete topic."""
-        return len({cid for cid, _ in self._subscriptions.match(topic)})
-
     def _require_session(self, client_id: str) -> _ClientSession:
         session = self._sessions.get(client_id)
         if session is None:
@@ -584,16 +417,12 @@ class MQTTBroker:
 
     # ---------------------------------------------------------------- publish
 
-    def publish(
-        self, message: MQTTMessage, _from_bridge: bool = False
-    ) -> Sequence[DeliveryRecord]:
+    def publish(self, message: MQTTMessage, _from_bridge: bool = False) -> int:
         """Route a message to all matching subscribers.
 
-        Returns a sequence of the delivery records created (one per receiving
-        client), which tests and the simulation layer use to reason about
-        fan-out and delay.  On the vectorized broadcast path the sequence is
-        lazy (:class:`_FanoutDeliveries`) — records materialize only if the
-        caller actually looks at them.
+        Returns the number of deliveries created (one per receiving client,
+        lossy drops excluded), whether handed over, queued offline or dropped
+        for lack of room.
         """
         validate_topic(message.topic)
         size = message.size_bytes
@@ -614,7 +443,7 @@ class MQTTBroker:
         key = (message.origin_broker, message.message_id)
         if _from_bridge:
             if key in self._seen_bridge_messages:
-                return []
+                return 0
             self.stats.bridged_in += 1
         self._remember_bridge_key(key)
 
@@ -653,7 +482,7 @@ class MQTTBroker:
                         self.stats.bridged_out += forwarded
                 return fast
 
-        deliveries: List[DeliveryRecord] = []
+        deliveries = 0
         sessions = self._sessions
         for client_id, sub_qos, matched_filter in plan.entries:
             if client_id == sender_id:
@@ -666,7 +495,7 @@ class MQTTBroker:
             )
             if record is None:
                 continue
-            deliveries.append(record)
+            deliveries += 1
             if session.connected and session.target is not None:
                 self._hand_over(session, record)
             elif not session.clean_session and record.effective_qos > QoS.AT_MOST_ONCE:
@@ -692,15 +521,16 @@ class MQTTBroker:
         sender_id: Optional[str],
         size: int,
         base_time: Optional[float],
-    ) -> Optional[_FanoutDeliveries]:
+    ) -> Optional[int]:
         """Route one broadcast fan-out as a single vectorized batch.
 
-        Returns ``None`` when the fan-out cannot take the fast path, in which
-        case the caller runs the scalar loop with **no state consumed** —
-        every guard below is checked before the first side effect.  The path
-        is safe only when it is bit-for-bit and draw-for-draw equivalent to
-        the scalar loop:
+        Returns the fan-out width, or ``None`` when the fan-out cannot take
+        the fast path, in which case the caller runs the scalar loop with
+        **no state consumed** — every guard below is checked before the first
+        side effect.  The path is safe only when it is bit-for-bit and
+        draw-for-draw equivalent to the scalar loop:
 
+        * the publisher is not among the receivers (no echo to suppress),
         * every receiver is connected (no offline-queue / drop branches),
         * the sender-side delay was hoisted (``base_time``) and every receiver
           link is jitter-free — otherwise the scalar loop would consume RNG
@@ -714,18 +544,15 @@ class MQTTBroker:
         the resulting ``deliver_at`` values are IEEE-identical.
         """
         if sender_id is not None and plan.position(sender_id) is not None:
-            plan = plan.minus_sender(sender_id)
-            if plan is None or len(plan.entries) < _VECTOR_MIN_FANOUT:
-                return None
+            return None
         targets = plan.targets(self)
         if targets is None:
             return None
         n = len(plan.entries)
-        eqos, has_qos0, handshakes = plan.effective_qos(message.qos)
+        eqos, has_qos0 = plan.effective_qos(message.qos)
         network = self.network
         timestamp = message.timestamp
         if network is None:
-            transfer_times: List[float] = [0.0] * n
             deliver_at = np.full(n, timestamp, dtype=np.float64)
         else:
             if base_time is None:
@@ -739,36 +566,16 @@ class MQTTBroker:
             # downlink = latency + size/bandwidth; deliver_at =
             # timestamp + (base_time + downlink).
             downlink = latency + (size + PACKET_OVERHEAD_BYTES) / bandwidth
-            transfer = base_time + downlink
-            deliver_at = timestamp + transfer
-            transfer_times = transfer.tolist()
+            deliver_at = timestamp + (base_time + downlink)
 
         seq0 = self._next_sequence
         self._next_sequence = seq0 + n
         stats = self.stats
         stats.messages_delivered += n
         stats.bytes_delivered += size * n
-        traffic = self.traffic
-        sender_idx_t, topic_idx_t, receiver_idx_t = plan.traffic_ids(
-            traffic, message.topic, message.sender_id
-        )
-        traffic.add_batch(
-            topic=message.topic,
-            sender_id=message.sender_id or "?",
-            receiver_ids=plan.receiver_ids,
-            receiver_idx=receiver_idx_t,
-            sender_idx=sender_idx_t,
-            topic_idx=topic_idx_t,
-            payload_bytes=size,
-            qos=eqos,
-            transfer_times=transfer_times,
-            handshake_packets=handshakes,
-            timestamp=timestamp,
-            broker=self.name,
-        )
         scheduler = self.scheduler
         sender_idx, pair_ids, receiver_idx = plan.fifo_ids(scheduler, message.sender_id)
-        effective, unclamped = scheduler.schedule_batch(
+        scheduler.schedule_batch(
             self,
             message,
             targets,
@@ -781,7 +588,7 @@ class MQTTBroker:
             sender_idx,
             self._session_epoch,
         )
-        return _FanoutDeliveries(message, plan.entries, eqos, effective, unclamped, seq0)
+        return n
 
     def _invalidate_routes(self, topic_filter: str) -> None:
         """Drop cached route plans whose topic the changed filter matches.
@@ -859,7 +666,7 @@ class MQTTBroker:
         size: Optional[int] = None,
         base_time: Optional[float] = None,
     ) -> Optional[DeliveryRecord]:
-        """Build one delivery record (and its traffic entry) for a subscriber.
+        """Build one delivery record for a subscriber.
 
         ``size`` and ``base_time`` are fan-out hoists from :meth:`publish`:
         the payload size and the sender-side delay half (uplink + broker
@@ -887,7 +694,7 @@ class MQTTBroker:
         deliver_at = (message.timestamp if not retained_replay else self.now()) + transfer_time
         sequence = self._next_sequence
         self._next_sequence = sequence + 1
-        record = DeliveryRecord(
+        return DeliveryRecord(
             message=message,
             subscriber_id=client_id,
             subscription_filter=topic_filter,
@@ -895,20 +702,6 @@ class MQTTBroker:
             deliver_at=deliver_at,
             sequence=sequence,
         )
-        self.traffic.add(
-            TrafficRecord(
-                topic=message.topic,
-                sender_id=message.sender_id or "?",
-                receiver_id=client_id,
-                payload_bytes=size,
-                qos=int(effective_qos),
-                transfer_time_s=transfer_time,
-                handshake_packets=QOS_HANDSHAKE_PACKETS[effective_qos],
-                timestamp=message.timestamp,
-                broker=self.name,
-            )
-        )
-        return record
 
     def _remember_bridge_key(self, key: Tuple[str, int]) -> None:
         seen = self._seen_bridge_messages
@@ -918,30 +711,6 @@ class MQTTBroker:
         seen[key] = None
         while len(seen) > self.max_bridge_dedup:
             seen.popitem(last=False)
-
-    def requeue_offline(self, record: DeliveryRecord) -> bool:
-        """Park an undeliverable in-flight record in the subscriber's offline queue.
-
-        Called by the event scheduler when a delivery comes due after its
-        target disconnected.  Only persistent (non-clean) sessions with
-        QoS > 0 records qualify — exactly the records a real broker would
-        retransmit on session resumption.  Returns True if the record was
-        queued.
-        """
-        session = self._sessions.get(record.subscriber_id)
-        if (
-            session is None
-            or session.connected
-            or session.clean_session
-            or record.effective_qos <= QoS.AT_MOST_ONCE
-        ):
-            return False
-        if len(session.offline_queue) >= self.max_offline_queue:
-            self.stats.messages_dropped += 1
-            return False
-        session.offline_queue.append(record)
-        self.stats.messages_queued_offline += 1
-        return True
 
     def attach_scheduler(self, scheduler: Optional["EventScheduler"]) -> None:
         """Route deliveries through ``scheduler`` (``None`` restores inboxes).
@@ -962,54 +731,9 @@ class MQTTBroker:
         else:
             session.target._deliver(record)
 
-    # --------------------------------------------------------------- retained
-
-    def retained_message(self, topic: str) -> Optional[MQTTMessage]:
-        """Return the retained message for a concrete topic, if any."""
-        return self._retained.get(topic)
-
-    @property
-    def retained_topics(self) -> List[str]:
-        """Topics that currently hold a retained message (sorted)."""
-        return sorted(self._retained)
-
     # ---------------------------------------------------------------- bridges
 
     def attach_bridge(self, bridge: "BrokerBridge") -> None:
         """Register a bridge; called by :class:`BrokerBridge` itself."""
         if bridge not in self._bridges:
             self._bridges.append(bridge)
-
-    def detach_bridge(self, bridge: "BrokerBridge") -> None:
-        """Unregister a bridge."""
-        if bridge in self._bridges:
-            self._bridges.remove(bridge)
-
-    @property
-    def bridges(self) -> List["BrokerBridge"]:
-        """Bridges currently attached to this broker."""
-        return list(self._bridges)
-
-    # ------------------------------------------------------------------ misc
-
-    def reset_stats(self) -> None:
-        """Zero the counters and the traffic log (subscriptions are kept).
-
-        Cache hit/miss counters are included: they used to survive
-        ``reset_stats`` (and broker reuse across scenarios), drifting the
-        exported cache-efficiency numbers.  The caches themselves keep their
-        contents — only the accounting restarts.
-        """
-        self.stats = BrokerStats()
-        self.stats.retained_messages = len(self._retained)
-        self.traffic.clear()
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-        self._subscriptions.match_cache_hits = 0
-        self._subscriptions.match_cache_misses = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"MQTTBroker(name={self.name!r}, clients={len(self.connected_clients)}, "
-            f"subscriptions={len(self._subscriptions)})"
-        )

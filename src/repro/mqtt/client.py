@@ -2,12 +2,10 @@
 
 The client mirrors the parts of the ``paho.mqtt.client.Client`` API that
 SDFLMQ's original implementation uses: ``connect``, ``subscribe``,
-``unsubscribe``, ``publish``, per-filter callbacks via
-``message_callback_add``, a default ``on_message`` handler, and a ``loop`` /
-``loop_forever``-style pump.  Because the broker lives in the same process,
-``loop`` simply drains the client's inbox and invokes callbacks; the
-:class:`~repro.runtime.scheduler.EventScheduler` (or its
-:class:`~repro.runtime.pump.MessagePump` facade) drives all clients'
+``publish``, per-filter callbacks via ``message_callback_add`` and a default
+``on_message`` handler.  Because the broker lives in the same process, there
+is no network loop: the :class:`~repro.runtime.scheduler.EventScheduler` (or
+its :class:`~repro.runtime.pump.MessagePump` facade) drives all clients'
 deliveries in deterministic ``(deliver_at, sequence)`` order.
 """
 
@@ -20,7 +18,7 @@ from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.errors import NotConnectedError
 from repro.mqtt.messages import DeliveryRecord, MQTTMessage, QoS
 from repro.mqtt.topics import topic_matches_filter, validate_topic_filter
-from repro.utils.identifiers import validate_identifier
+from repro.utils.validation import validate_identifier
 
 __all__ = ["MQTTClient"]
 
@@ -133,16 +131,6 @@ class MQTTClient:
         """Subscribe to ``topic_filter`` with the requested QoS."""
         return self._require_broker().subscribe(self.client_id, topic_filter, qos)
 
-    def unsubscribe(self, topic_filter: str) -> bool:
-        """Unsubscribe from ``topic_filter``; returns True if it existed."""
-        return self._require_broker().unsubscribe(self.client_id, topic_filter)
-
-    def subscriptions(self) -> Dict[str, QoS]:
-        """Return the filters this client is currently subscribed to."""
-        if self._broker is None:
-            return {}
-        return self._broker.subscriptions_of(self.client_id)
-
     def message_callback_add(self, topic_filter: str, callback: MessageCallback) -> None:
         """Attach a callback invoked for messages matching ``topic_filter``.
 
@@ -151,11 +139,6 @@ class MQTTClient:
         """
         validate_topic_filter(topic_filter)
         self._callbacks[topic_filter] = callback
-        self._callback_cache.clear()
-
-    def message_callback_remove(self, topic_filter: str) -> None:
-        """Remove a per-filter callback."""
-        self._callbacks.pop(topic_filter, None)
         self._callback_cache.clear()
 
     # ---------------------------------------------------------------- publish
@@ -191,11 +174,6 @@ class MQTTClient:
         """Called by the broker to place a delivery in this client's inbox."""
         self._inbox.append(record)
 
-    @property
-    def pending_messages(self) -> int:
-        """Number of deliveries waiting in the inbox."""
-        return len(self._inbox)
-
     def take_pending(self) -> List[DeliveryRecord]:
         """Remove and return all inbox records (oldest first).
 
@@ -207,36 +185,6 @@ class MQTTClient:
         records = list(self._inbox)
         self._inbox.clear()
         return records
-
-    def loop(self, max_messages: Optional[int] = None) -> int:
-        """Process up to ``max_messages`` pending deliveries (all if ``None``).
-
-        Returns the number of messages dispatched to callbacks.  Exceptions
-        raised by callbacks propagate to the caller — SDFLMQ treats a handler
-        failure as a client failure, matching how an unhandled exception in a
-        paho callback thread would take the client down.
-        """
-        processed = 0
-        while self._inbox and (max_messages is None or processed < max_messages):
-            record = self._inbox.popleft()
-            if self._dispatch(record):
-                processed += 1
-        return processed
-
-    def loop_until_empty(self, max_iterations: int = 100_000) -> int:
-        """Repeatedly pump until the inbox stays empty; returns messages processed."""
-        total = 0
-        for _ in range(max_iterations):
-            n = self.loop()
-            if n == 0:
-                return total
-            total += n
-        raise RuntimeError(
-            f"client {self.client_id!r} did not quiesce after {max_iterations} iterations"
-        )
-
-    def _dispatch(self, record: DeliveryRecord) -> bool:
-        return self._dispatch_message(record.message, record.effective_qos)
 
     def _dispatch_message(self, message: MQTTMessage, effective_qos: int) -> bool:
         # Hot-path entry used by the columnar event scheduler: everything the
@@ -277,7 +225,3 @@ class MQTTClient:
         if len(cache) < 4096:  # bound the cache for pathological topic churn
             cache[topic] = resolved
         return resolved
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "connected" if self.connected else "disconnected"
-        return f"MQTTClient({self.client_id!r}, {state}, pending={len(self._inbox)})"

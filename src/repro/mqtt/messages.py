@@ -30,11 +30,6 @@ class QoS(enum.IntEnum):
             raise ValueError(f"invalid QoS level: {value!r}") from exc
 
 
-#: Number of control packets (beyond the PUBLISH itself) exchanged per hop for
-#: each QoS level: QoS0 has none, QoS1 has PUBACK, QoS2 has PUBREC/PUBREL/PUBCOMP.
-QOS_HANDSHAKE_PACKETS = {QoS.AT_MOST_ONCE: 0, QoS.AT_LEAST_ONCE: 1, QoS.EXACTLY_ONCE: 3}
-
-
 @dataclass
 class MQTTMessage:
     """A published application message.
@@ -136,8 +131,8 @@ class DeliveryRecord:
     :class:`~repro.runtime.columns.DeliveryColumns` struct-of-arrays (or as
     one member of a fan-out batch entry), and a ``DeliveryRecord`` is only
     materialized at the API boundary — ``pending_deliveries()``,
-    ``cancel_deliveries`` predicates, broker ``publish()`` results, offline
-    requeueing, and targets without the ``_dispatch_message`` fast path.
+    ``cancel_deliveries`` predicates, the broker's scalar routing path and
+    targets without the ``_dispatch_message`` fast path.
     Materialized records are detached snapshots; mutating one does not write
     back into the columns.
     """

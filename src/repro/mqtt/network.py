@@ -4,23 +4,21 @@ The paper's runtime evaluation (Fig. 8) measures *total processing delay*,
 which is dominated by model-parameter transfer through the broker plus
 aggregation compute.  Because this reproduction runs in a single process, the
 broker does not actually take milliseconds to move bytes; instead every hop is
-charged against a :class:`LinkProfile` (latency + bandwidth + jitter + loss)
-and recorded in a :class:`TrafficLog`.  The simulation layer
-(:mod:`repro.sim`) and the experiment harness read that log to compute the
-delay figures.
+charged against a :class:`LinkProfile` (latency + bandwidth + jitter + loss),
+and the resulting delivery times drive the event scheduler.  Traffic volume
+is counted once, in the broker's :class:`~repro.mqtt.broker.BrokerStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.utils.soa import StringTable, grow
 from repro.utils.validation import require_positive
 
-__all__ = ["LinkProfile", "NetworkModel", "TrafficRecord", "TrafficLog"]
+__all__ = ["LinkProfile", "NetworkModel"]
 
 #: Fixed per-packet protocol overhead in bytes (MQTT fixed header + topic +
 #: packet id).  Small but kept explicit so traffic accounting is meaningful for
@@ -64,253 +62,6 @@ class LinkProfile:
         if self.jitter_s > 0.0 and rng is not None:
             delay += abs(float(rng.normal(0.0, self.jitter_s)))
         return delay
-
-
-@dataclass(slots=True)
-class TrafficRecord:
-    """One hop of one message through the broker.
-
-    Slotted: one record is created per delivery on the routing hot path, so
-    the per-instance ``__dict__`` is worth avoiding.
-    """
-
-    topic: str
-    sender_id: str
-    receiver_id: str
-    payload_bytes: int
-    qos: int
-    transfer_time_s: float
-    handshake_packets: int
-    timestamp: float
-    broker: str
-
-    @property
-    def total_bytes(self) -> int:
-        """Payload plus per-packet protocol overhead for all packets on the hop."""
-        return self.payload_bytes + PACKET_OVERHEAD_BYTES * (1 + self.handshake_packets)
-
-
-class _TrafficBatch:
-    """One broadcast fan-out's traffic, stored once instead of ``n`` records.
-
-    ``count`` may be smaller than ``len(receiver_ids)`` when the log's
-    ``max_records`` retention cap truncated the batch; aggregates always cover
-    every member regardless.  Materializes :class:`TrafficRecord` façades
-    lazily for :meth:`TrafficLog.records` / iteration.
-    """
-
-    __slots__ = (
-        "topic",
-        "sender_id",
-        "receiver_ids",
-        "payload_bytes",
-        "qos",
-        "transfer_times",
-        "handshake_packets",
-        "timestamp",
-        "broker",
-        "count",
-    )
-
-    def __init__(
-        self,
-        topic: str,
-        sender_id: str,
-        receiver_ids: Sequence[str],
-        payload_bytes: int,
-        qos: Sequence[int],
-        transfer_times: Sequence[float],
-        handshake_packets: Sequence[int],
-        timestamp: float,
-        broker: str,
-        count: int,
-    ) -> None:
-        self.topic = topic
-        self.sender_id = sender_id
-        self.receiver_ids = receiver_ids
-        self.payload_bytes = payload_bytes
-        self.qos = qos
-        self.transfer_times = transfer_times
-        self.handshake_packets = handshake_packets
-        self.timestamp = timestamp
-        self.broker = broker
-        self.count = count
-
-    def materialize(self) -> Iterator[TrafficRecord]:
-        for i in range(self.count):
-            yield TrafficRecord(
-                topic=self.topic,
-                sender_id=self.sender_id,
-                receiver_id=self.receiver_ids[i],
-                payload_bytes=self.payload_bytes,
-                qos=self.qos[i],
-                transfer_time_s=self.transfer_times[i],
-                handshake_packets=self.handshake_packets[i],
-                timestamp=self.timestamp,
-                broker=self.broker,
-            )
-
-
-class TrafficLog:
-    """Accumulates per-hop traffic and summary statistics, column-first.
-
-    Identities are interned once (:class:`~repro.utils.soa.StringTable`) and
-    the per-receiver / per-sender / per-topic aggregates live in id-indexed
-    int64 arrays, so a whole broadcast fan-out is accounted with one
-    :meth:`add_batch` call (a vectorized scatter-add) instead of ``n`` dict
-    updates.  Raw records stay bounded by ``max_records`` (batches retained
-    compactly, rehydrated to :class:`TrafficRecord` on access) while the
-    aggregates remain exact over the full run.
-
-    The intern table survives :meth:`clear` — the broker caches interned id
-    arrays on its routing plans, and those must stay valid across
-    ``reset_stats()``; only the counters are zeroed.
-    """
-
-    def __init__(self, max_records: int = 200_000) -> None:
-        require_positive(max_records, "max_records")
-        self._chunks: List[object] = []  # TrafficRecord | _TrafficBatch
-        self._retained = 0
-        self._max_records = int(max_records)
-        self._ids = StringTable()
-        self._receiver_bytes = np.zeros(256, dtype=np.int64)
-        self._sender_bytes = np.zeros(256, dtype=np.int64)
-        self._topic_messages = np.zeros(256, dtype=np.int64)
-        self.total_messages = 0
-        self.total_payload_bytes = 0
-        self.total_transfer_time_s = 0.0
-
-    def intern(self, value: Optional[str]) -> int:
-        """Intern an identity (sender/receiver/topic) into this log's id space.
-
-        The returned index stays valid forever (ids are never reused and the
-        counter columns only grow), so routing plans may cache it.
-        """
-        index = self._ids.intern(value)
-        if index >= len(self._receiver_bytes):
-            capacity = index + 1
-            self._receiver_bytes = grow(self._receiver_bytes, capacity, fill=0)
-            self._sender_bytes = grow(self._sender_bytes, capacity, fill=0)
-            self._topic_messages = grow(self._topic_messages, capacity, fill=0)
-        return index
-
-    def intern_many(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        """Intern a sequence of identities; returns their ids as int64."""
-        intern = self.intern
-        return np.array([intern(v) for v in values], dtype=np.int64)
-
-    def add(self, record: TrafficRecord) -> None:
-        """Record one delivery hop (the scalar path)."""
-        if self._retained < self._max_records:
-            self._chunks.append(record)
-            self._retained += 1
-        payload_bytes = record.payload_bytes
-        self.total_messages += 1
-        self.total_payload_bytes += payload_bytes
-        self.total_transfer_time_s += record.transfer_time_s
-        # Intern before indexing: ``intern`` rebinds the columns when it grows
-        # them, and ``column[intern(x)] += n`` would index the old array.
-        receiver = self.intern(record.receiver_id)
-        sender = self.intern(record.sender_id)
-        topic = self.intern(record.topic)
-        self._receiver_bytes[receiver] += payload_bytes
-        self._sender_bytes[sender] += payload_bytes
-        self._topic_messages[topic] += 1
-
-    def add_batch(
-        self,
-        topic: str,
-        sender_id: str,
-        receiver_ids: Sequence[str],
-        receiver_idx: np.ndarray,
-        sender_idx: int,
-        topic_idx: int,
-        payload_bytes: int,
-        qos: Sequence[int],
-        transfer_times: Sequence[float],
-        handshake_packets: Sequence[int],
-        timestamp: float,
-        broker: str,
-    ) -> None:
-        """Record one whole fan-out (the broker's vectorized publish path).
-
-        ``receiver_idx``/``sender_idx``/``topic_idx`` are pre-interned ids
-        from *this* log (see :meth:`intern`); receivers within one fan-out
-        are unique (one route entry per subscriber), so the scatter-add below
-        never collapses duplicate indices.  ``transfer_times`` must be a
-        plain list — the transfer total is accumulated sequentially so the
-        float result is bit-identical to ``n`` scalar :meth:`add` calls.
-        """
-        n = len(receiver_ids)
-        self.total_messages += n
-        self.total_payload_bytes += payload_bytes * n
-        self.total_transfer_time_s = sum(transfer_times, self.total_transfer_time_s)
-        self._receiver_bytes[receiver_idx] += payload_bytes
-        self._sender_bytes[sender_idx] += payload_bytes * n
-        self._topic_messages[topic_idx] += n
-        room = self._max_records - self._retained
-        if room > 0:
-            keep = n if n <= room else room
-            self._chunks.append(
-                _TrafficBatch(
-                    topic,
-                    sender_id,
-                    receiver_ids,
-                    payload_bytes,
-                    qos,
-                    transfer_times,
-                    handshake_packets,
-                    timestamp,
-                    broker,
-                    keep,
-                )
-            )
-            self._retained += keep
-
-    def __len__(self) -> int:
-        return self.total_messages
-
-    def __iter__(self) -> Iterator[TrafficRecord]:
-        for chunk in self._chunks:
-            if type(chunk) is _TrafficBatch:
-                yield from chunk.materialize()
-            else:
-                yield chunk  # type: ignore[misc]
-
-    @property
-    def records(self) -> Tuple[TrafficRecord, ...]:
-        """The retained raw records (up to ``max_records``), materialized."""
-        return tuple(self)
-
-    def bytes_received_by(self, client_id: str) -> int:
-        """Total payload bytes delivered to ``client_id``."""
-        index = self._ids.lookup(client_id)
-        return int(self._receiver_bytes[index]) if index is not None else 0
-
-    def bytes_sent_by(self, client_id: str) -> int:
-        """Total payload bytes published by ``client_id``."""
-        index = self._ids.lookup(client_id)
-        return int(self._sender_bytes[index]) if index is not None else 0
-
-    def messages_on_topic(self, topic: str) -> int:
-        """Number of deliveries on a concrete topic."""
-        index = self._ids.lookup(topic)
-        return int(self._topic_messages[index]) if index is not None else 0
-
-    def clear(self) -> None:
-        """Drop all records and reset aggregates.
-
-        The intern table (and thus any cached :meth:`intern` index) survives;
-        only the counters are zeroed.
-        """
-        self._chunks.clear()
-        self._retained = 0
-        self.total_messages = 0
-        self.total_payload_bytes = 0
-        self.total_transfer_time_s = 0.0
-        self._receiver_bytes[:] = 0
-        self._sender_bytes[:] = 0
-        self._topic_messages[:] = 0
 
 
 class NetworkModel:

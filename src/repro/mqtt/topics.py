@@ -18,7 +18,7 @@ topics in large SDFLMQ sessions this is the routing hot path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Generic, Iterator, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, FrozenSet, Generic, List, Set, Tuple, TypeVar
 
 from repro.mqtt.errors import InvalidTopicError, InvalidTopicFilterError
 
@@ -158,7 +158,6 @@ class TopicTrie(Generic[T]):
 
     def __init__(self, match_cache_size: int = 1024) -> None:
         self._root: _TrieNode[T] = _TrieNode()
-        self._count = 0
         self._match_cache: "OrderedDict[str, FrozenSet[T]]" = OrderedDict()
         self._match_cache_size = max(0, int(match_cache_size))
         self.match_cache_hits = 0
@@ -167,10 +166,6 @@ class TopicTrie(Generic[T]):
     def _invalidate_match_cache(self) -> None:
         if self._match_cache:
             self._match_cache.clear()
-
-    def __len__(self) -> int:
-        """Number of (filter, value) pairs stored."""
-        return self._count
 
     def insert(self, topic_filter: str, value: T) -> bool:
         """Insert ``value`` under ``topic_filter``.
@@ -184,7 +179,6 @@ class TopicTrie(Generic[T]):
         if value in node.values:
             return False
         node.values.add(value)
-        self._count += 1
         self._invalidate_match_cache()
         return True
 
@@ -203,7 +197,6 @@ class TopicTrie(Generic[T]):
         if value not in node.values:
             return False
         node.values.discard(value)
-        self._count -= 1
         self._invalidate_match_cache()
         # Prune now-empty branches so long-lived brokers don't leak nodes as
         # clients churn through per-session role topics.
@@ -214,18 +207,6 @@ class TopicTrie(Generic[T]):
             else:
                 break
         return True
-
-    def remove_value(self, value: T) -> int:
-        """Remove ``value`` from every filter it is registered under.
-
-        Returns the number of (filter, value) pairs removed.  Used when a
-        client disconnects with a clean session.
-        """
-        removed = 0
-        for topic_filter in list(self.filters_for_value(value)):
-            if self.remove(topic_filter, value):
-                removed += 1
-        return removed
 
     def match(self, topic: str) -> Set[T]:
         """Return the set of values whose filters match the concrete ``topic``.
@@ -278,29 +259,3 @@ class TopicTrie(Generic[T]):
             hash_child = node.children.get("#")
             if hash_child is not None:
                 results.update(hash_child.values)
-
-    def filters(self) -> Iterator[str]:
-        """Iterate over all filters that currently hold at least one value."""
-        yield from self._iter_filters(self._root, [])
-
-    def filters_for_value(self, value: T) -> Iterator[str]:
-        """Iterate over all filters under which ``value`` is registered."""
-        for topic_filter in self._iter_filters(self._root, [], value=value):
-            yield topic_filter
-
-    def _iter_filters(
-        self, node: _TrieNode[T], prefix: List[str], value: Optional[T] = None
-    ) -> Iterator[str]:
-        if node.values and (value is None or value in node.values):
-            if prefix:
-                yield "/".join(prefix)
-        for level, child in node.children.items():
-            prefix.append(level)
-            yield from self._iter_filters(child, prefix, value)
-            prefix.pop()
-
-    def clear(self) -> None:
-        """Remove all subscriptions."""
-        self._root = _TrieNode()
-        self._count = 0
-        self._invalidate_match_cache()

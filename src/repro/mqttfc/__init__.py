@@ -30,11 +30,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.mqttfc.serialization": (
-            "PayloadFrame", "decode_payload", "encode_payload", "encode_payload_frame",
-            "payload_size",
-        ),
-        "repro.mqttfc.codec_spec": ("CodecError", "available_codecs"),
+        "repro.mqttfc.serialization": ("PayloadFrame", "decode_payload", "encode_payload_frame"),
+        "repro.mqttfc.codec_spec": ("CodecError",),
         "repro.mqttfc.codecs": (
             "CodecStats", "UpdateCodec", "is_encoded_state", "make_update_codec",
             "parse_codec_spec",
@@ -44,7 +41,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BatchEncoder", "BatchAssembler", "BatchChunk", "BatchReassemblyError",
         ),
         "repro.mqttfc.rfc": (
-            "FleetControlEndpoint", "PendingCall", "RemoteCallError", "RemoteFunctionNotFound",
+            "FleetControlEndpoint", "PendingCall", "RemoteCallError",
             "call_topic", "response_topic",
         ),
     },

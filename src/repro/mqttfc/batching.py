@@ -88,11 +88,6 @@ class BatchChunk:
             data=payload[_HEADER_STRUCT.size :],
         )
 
-    @property
-    def size_bytes(self) -> int:
-        """Total serialized size of this chunk (header + data)."""
-        return _HEADER_STRUCT.size + len(self.data)
-
 
 class BatchEncoder:
     """Splits byte payloads into chunks of at most ``chunk_bytes`` data bytes."""
@@ -133,11 +128,6 @@ class BatchEncoder:
             )
         return chunks
 
-    def iter_payloads(self, payload: bytes, batch_id: Optional[str] = None) -> Iterator[bytes]:
-        """Yield ready-to-publish chunk payload bytes."""
-        for chunk in self.split(payload, batch_id):
-            yield chunk.to_bytes()
-
     def iter_payloads_frame(
         self, frame: PayloadFrame, batch_id: Optional[str] = None
     ) -> Iterator[bytes]:
@@ -145,9 +135,10 @@ class BatchEncoder:
 
         The frame's segments are never joined into an intermediate whole: the
         CRC streams across them and each wire chunk is gathered *once*
-        directly behind its header.  The emitted bytes are identical to
-        ``iter_payloads(frame.tobytes(), batch_id)``, but the only copy of
-        the payload data on the send path is the per-chunk gather itself.
+        directly behind its header.  Each emitted payload equals
+        :meth:`BatchChunk.to_bytes` of the matching :meth:`split` chunk of
+        ``frame.tobytes()``, but the only copy of the payload data on the
+        send path is the per-chunk gather itself.
         """
         if batch_id is None:
             batch_id = self.next_batch_id()
@@ -279,11 +270,3 @@ class BatchAssembler:
             raise BatchReassemblyError(f"CRC mismatch for batch {chunk.batch_id!r} from {sender!r}")
         self.completed_batches += 1
         return memoryview(gathered).toreadonly()
-
-    def discard(self, sender: str, batch_id: str) -> bool:
-        """Drop a partially received batch (e.g. sender disconnected)."""
-        return self._open.pop((sender, batch_id), None) is not None
-
-    def clear(self) -> None:
-        """Drop all partially received batches."""
-        self._open.clear()

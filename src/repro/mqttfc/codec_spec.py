@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 __all__ = [
     "CodecError",
     "DEFAULT_TOPK_DENSITY",
-    "available_codecs",
     "parse_codec_grammar",
     "topk_density",
 ]
@@ -25,11 +24,6 @@ _STAGE_ORDER = ("delta", "topk", "fp16", "int8")
 
 class CodecError(ValueError):
     """Raised on invalid codec specs or undecodable encoded updates."""
-
-
-def available_codecs() -> Tuple[str, ...]:
-    """Stage names accepted in ``training.update_codec`` specs."""
-    return _STAGE_ORDER
 
 
 def topk_density(value: object) -> float:

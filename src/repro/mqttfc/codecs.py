@@ -71,7 +71,6 @@ import numpy as np
 from repro.mqttfc.codec_spec import (
     DEFAULT_TOPK_DENSITY,
     CodecError,
-    available_codecs,
     parse_codec_grammar,
     topk_density,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_TOPK_DENSITY",
     "ScratchArena",
     "UpdateCodec",
-    "available_codecs",
     "is_encoded_state",
     "make_update_codec",
     "parse_codec_spec",
@@ -103,12 +101,7 @@ _REF_HISTORY = 16
 
 @dataclass
 class CodecStats:
-    """Counters for one endpoint's update codec.
-
-    Every counter here must be zeroed by
-    :meth:`repro.mqttfc.rfc.FleetControlEndpoint.reset_stats` — see the
-    broker's cache-counter reset fix for the drift this guards against.
-    """
+    """Counters for one endpoint's update codec."""
 
     updates_encoded: int = 0
     updates_decoded: int = 0
@@ -145,13 +138,6 @@ class ScratchArena:
             self._buffers[key] = buffer
             self.allocations += 1
         return buffer
-
-    def __len__(self) -> int:
-        return len(self._buffers)
-
-    def buffers(self) -> List[np.ndarray]:
-        """The live scratch buffers (for aliasing assertions in tests)."""
-        return list(self._buffers.values())
 
 
 class _Op:

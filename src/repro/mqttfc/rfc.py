@@ -9,9 +9,10 @@ and exposes two primitives:
   to run here.  Several endpoints may register the same *shared* topic, which
   is exactly how SDFLMQ fans a single "send your stats" call out to a whole
   role group.
-* ``call(target, name, ...)`` / ``call_topic(topic, ...)`` — publish a request
-  to a remote function and (optionally) receive the return value on this
-  endpoint's response topic, correlated by a unique id.
+* ``call_topic(topic, name, ...)`` — publish a request to a remote function
+  (``call_topic(target_id, name)`` names a single endpoint's topic) and
+  (optionally) receive the return value on this endpoint's response topic,
+  correlated by a unique id.
 
 Requests and responses are encoded with the MQTTFC payload codec
 (:mod:`repro.mqttfc.serialization`), optionally zlib-compressed
@@ -23,22 +24,21 @@ state dicts fit under the broker's packet size limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.messages import MQTTMessage, QoS
 from repro.mqttfc.batching import BatchAssembler, BatchEncoder, DEFAULT_CHUNK_BYTES
-from repro.mqttfc.codecs import CodecStats, UpdateCodec, make_update_codec
+from repro.mqttfc.codecs import UpdateCodec, make_update_codec
 from repro.mqttfc.compression import CompressionConfig, compress_frame, decompress_payload
 from repro.mqttfc.serialization import decode_payload, encode_payload_frame
-from repro.utils.identifiers import validate_identifier
+from repro.utils.validation import validate_identifier
 
 __all__ = [
     "FleetControlEndpoint",
     "PendingCall",
     "RemoteCallError",
-    "RemoteFunctionNotFound",
     "call_topic",
     "response_topic",
 ]
@@ -73,16 +73,12 @@ class RemoteCallError(RuntimeError):
     """Raised when a remote function reported an error."""
 
 
-class RemoteFunctionNotFound(RemoteCallError):
-    """Raised (remotely) when a request names a function the endpoint lacks."""
-
-
 @dataclass
 class PendingCall:
     """Handle for an in-flight remote call.
 
-    The call completes when the response arrives and is pumped through the
-    local client's ``loop()``.  ``result()`` raises if the call is still
+    The call completes when the response arrives and the scheduler drains it
+    into the local endpoint.  ``result()`` raises if the call is still
     pending or the remote side reported an error.
     """
 
@@ -230,47 +226,22 @@ class FleetControlEndpoint:
         """Bind ``func`` to an MQTT topic and subscribe to it.
 
         Returns the topic the function listens on.  Registering the same name
-        again replaces the binding (the old topic is unsubscribed if it is no
-        longer used).  ``func`` must not mutate its arguments: they may be
-        shared with the other receivers of the same publish.
+        on the same topic again replaces the function; moving a name to
+        another topic raises ``ValueError``.  ``func`` must not mutate its
+        arguments: they may be shared with the other receivers of the same
+        publish.
         """
         validate_identifier(name, "function name")
         new_topic = topic or call_topic(self.client_id, name)
         old_topic = self._find_topic(name)
         if old_topic is not None and old_topic != new_topic:
-            self.unregister(name)
+            raise ValueError(f"function {name!r} is already registered on {old_topic!r}")
         self._functions[name] = func
         self._topic_functions[new_topic] = name
         self.client.message_callback_add(new_topic, self._on_raw_message)
         if self.client.connected:
             self.client.subscribe(new_topic, self.qos)
         return new_topic
-
-    def remote_function(self, name: str, topic: Optional[str] = None) -> Callable:
-        """Decorator form of :meth:`register`."""
-
-        def decorator(func: Callable[..., Any]) -> Callable[..., Any]:
-            self.register(name, func, topic)
-            return func
-
-        return decorator
-
-    def unregister(self, name: str) -> bool:
-        """Remove a function binding; returns True if it existed."""
-        if name not in self._functions:
-            return False
-        del self._functions[name]
-        topic = self._find_topic(name)
-        if topic is not None:
-            del self._topic_functions[topic]
-            self.client.message_callback_remove(topic)
-            if self.client.connected:
-                self.client.unsubscribe(topic)
-        return True
-
-    def registered_functions(self) -> List[str]:
-        """Names of all locally registered functions (sorted)."""
-        return sorted(self._functions)
 
     def _find_topic(self, name: str) -> Optional[str]:
         for topic, fname in self._topic_functions.items():
@@ -279,23 +250,6 @@ class FleetControlEndpoint:
         return None
 
     # ----------------------------------------------------------------- calls
-
-    def call(
-        self,
-        target_client_id: str,
-        function: str,
-        *args: Any,
-        expect_response: bool = True,
-        **kwargs: Any,
-    ) -> PendingCall:
-        """Call ``function`` on ``target_client_id``'s endpoint."""
-        return self.call_topic(
-            call_topic(target_client_id, function),
-            function,
-            *args,
-            expect_response=expect_response,
-            **kwargs,
-        )
 
     def call_topic(
         self,
@@ -328,28 +282,6 @@ class FleetControlEndpoint:
         if not expect_response:
             pending.resolve(None, None)
         return pending
-
-    def notify(self, target_client_id: str, function: str, *args: Any, **kwargs: Any) -> PendingCall:
-        """Fire-and-forget call (no response expected)."""
-        return self.call(target_client_id, function, *args, expect_response=False, **kwargs)
-
-    def pending_calls(self) -> int:
-        """Number of calls still awaiting a response."""
-        return sum(1 for call in self._pending.values() if not call.done)
-
-    def reset_stats(self) -> None:
-        """Zero every counter this endpoint owns (RFC *and* codec counters).
-
-        Mirrors the broker's cache-counter reset fix: counters that live
-        outside the main stats object (here, the update codec's) used to be
-        the ones that drift across endpoint reuse, so the codec's
-        :class:`~repro.mqttfc.codecs.CodecStats` is replaced too.  The codec
-        keeps its scratch buffers and delta references — only the accounting
-        restarts.
-        """
-        self.stats = EndpointStats()
-        if self.update_codec is not None:
-            self.update_codec.stats = CodecStats()
 
     # -------------------------------------------------------------- transport
 

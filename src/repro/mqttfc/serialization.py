@@ -29,10 +29,9 @@ Zero-copy fast path
 header) plus an ordered list of ``memoryview`` segments that *alias* the
 ndarray leaves instead of copying them.  Nothing is materialized until a
 consumer asks for contiguous bytes (:meth:`PayloadFrame.tobytes`, a single
-writev-style gather), and :attr:`PayloadFrame.nbytes` / :func:`payload_size`
-never materialize at all.  :func:`encode_payload` is the
-materializing convenience wrapper; the decode side has always returned
-``np.frombuffer`` views when asked (``copy_arrays=False``).
+writev-style gather), and :attr:`PayloadFrame.nbytes` never materializes at
+all.  The decode side returns ``np.frombuffer`` views when asked
+(``copy_arrays=False``).
 """
 
 from __future__ import annotations
@@ -45,11 +44,9 @@ import numpy as np
 
 __all__ = [
     "PayloadFrame",
-    "encode_payload",
     "encode_payload_frame",
     "decode_payload",
     "leaf_spans",
-    "payload_size",
     "SerializationError",
 ]
 
@@ -88,9 +85,6 @@ class PayloadFrame:
         )
         self._joined: bytes | None = None
 
-    def __len__(self) -> int:
-        return self.nbytes
-
     def tobytes(self) -> bytes:
         """Materialize the frame as one contiguous ``bytes`` (cached).
 
@@ -100,12 +94,6 @@ class PayloadFrame:
         if self._joined is None:
             self._joined = b"".join(self.segments)
         return self._joined
-
-    def __bytes__(self) -> bytes:
-        return self.tobytes()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"PayloadFrame(segments={len(self.segments)}, nbytes={self.nbytes})"
 
 
 def _leaf_view(array: np.ndarray) -> memoryview:
@@ -203,16 +191,6 @@ def encode_payload_frame(obj: Any) -> PayloadFrame:
     return PayloadFrame([prefix, *buffers])
 
 
-def encode_payload(obj: Any) -> bytes:
-    """Encode ``obj`` into the MQTTFC binary payload format (contiguous bytes).
-
-    Convenience wrapper over :func:`encode_payload_frame`: the leaves are
-    gathered into the result in one pass, with no per-leaf ``tobytes`` copies
-    and no second whole-frame concatenation.
-    """
-    return encode_payload_frame(obj).tobytes()
-
-
 def _parse_frame(view: memoryview) -> "tuple[dict, List[dict], List[tuple[int, int]]]":
     """Validate a contiguous frame and split it without touching the buffers.
 
@@ -269,7 +247,7 @@ def _parse_frame(view: memoryview) -> "tuple[dict, List[dict], List[tuple[int, i
 
 
 def decode_payload(payload: "bytes | bytearray | memoryview | PayloadFrame", copy_arrays: bool = True) -> Any:
-    """Decode a payload produced by :func:`encode_payload` (or a frame).
+    """Decode a payload produced by :func:`encode_payload_frame` (bytes or the frame).
 
     Parameters
     ----------
@@ -323,12 +301,3 @@ def leaf_spans(payload: "bytes | bytearray | memoryview") -> "List[tuple[int, in
             raise SerializationError(f"corrupt MQTTFC leaf node: {exc}") from exc
         itemsizes[index] = itemsize
     return [(start, stop, itemsize or 1) for (start, stop), itemsize in zip(spans, itemsizes)]
-
-
-def payload_size(obj: Any) -> int:
-    """Return the encoded size of ``obj`` in bytes without materializing it.
-
-    Only the JSON header is built; ndarray leaf sizes are summed from the
-    aliasing segment views, so sizing a multi-MB state dict copies nothing.
-    """
-    return encode_payload_frame(obj).nbytes

@@ -13,7 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.obs.log": ("configure_logging", "get_logger"),
-        "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "metric_key"),
+        "repro.obs.metrics": ("Gauge", "Histogram", "MetricsRegistry", "metric_key"),
         "repro.obs.trace": ("LifecycleTracer", "Tracer"),
     },
 )

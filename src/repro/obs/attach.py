@@ -23,9 +23,6 @@ __all__ = [
     "attach_experiment_tracer",
 ]
 
-#: Sub-second buckets for broker→client delivery latency (sim seconds).
-DELIVERY_LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
-
 _SCHEDULER_COUNTERS = (
     "events_processed",
     "messages_processed",
@@ -128,7 +125,7 @@ def attach_experiment_metrics(
                 trie.match_cache_misses
             )
             reg.gauge("broker_traffic_payload_bytes", broker=broker.name).set(
-                broker.traffic.total_payload_bytes
+                stats.bytes_delivered
             )
 
         received = published = bytes_received = bytes_published = 0

@@ -57,12 +57,6 @@ class ContextAdapter(logging.LoggerAdapter):
             return f"[{rendered}] {msg}", kwargs
         return msg, kwargs
 
-    def bind(self, **fields: Any) -> "ContextAdapter":
-        """Return a child adapter with additional context fields."""
-        merged = dict(self.extra or {})
-        merged.update(fields)
-        return ContextAdapter(self.logger, merged)
-
 
 def get_logger(name: str = "repro", **context: Any) -> ContextAdapter:
     """Return a context-carrying logger writing structured lines to stderr."""

@@ -1,7 +1,7 @@
 """Unified metrics registry for the simulation platform.
 
-Three instrument kinds — :class:`Counter`, :class:`Gauge`,
-:class:`Histogram` — each addressed by a name plus an optional label set.
+Two instrument kinds — :class:`Gauge` and :class:`Histogram` — each
+addressed by a name plus an optional label set.
 Components that need *live* instrumentation hold a direct reference to an
 instrument (one attribute load + one method call per event); components
 that already keep their own plain counters are absorbed through
@@ -19,7 +19,6 @@ from bisect import bisect_left
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -49,19 +48,6 @@ def metric_key(name: str, labels: Mapping[str, object]) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """Monotonic counter; resettable only through its registry's lifecycle."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
 class Gauge:
     """Point-in-time value (last write wins)."""
 
@@ -73,9 +59,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -122,25 +105,17 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create instrument store with snapshot-time collectors.
 
-    ``counter`` / ``gauge`` / ``histogram`` return the same object for the
-    same (name, labels) pair, so hot paths can cache the instrument once at
+    ``gauge`` / ``histogram`` return the same object for the same
+    (name, labels) pair, so hot paths can cache the instrument once at
     attach time and skip the dict lookup per event.
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
     # ----------------------------------------------------------- instruments
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        key = metric_key(name, labels)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter(key)
-        return instrument
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         key = metric_key(name, labels)
@@ -176,30 +151,15 @@ class MetricsRegistry:
         for collector in self._collectors:
             collector(self)
 
-    # ------------------------------------------------------------- lifecycle
-
-    def reset(self) -> None:
-        """Zero every instrument (explicit reset-per-run lifecycle)."""
-        for counter in self._counters.values():
-            counter.value = 0
-        for gauge in self._gauges.values():
-            gauge.value = 0.0
-        for histogram in self._histograms.values():
-            histogram.bucket_counts = [0] * (len(histogram.buckets) + 1)
-            histogram.count = 0
-            histogram.total = 0.0
-            histogram.min = None
-            histogram.max = None
-
     # --------------------------------------------------------------- exports
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Run collectors, then return a deterministic nested dict."""
         self.collect()
         return {
-            "counters": {
-                key: self._counters[key].value for key in sorted(self._counters)
-            },
+            # No instrument is a counter; the empty section keeps the
+            # snapshot format every stored ``*.metrics.json`` already has.
+            "counters": {},
             "gauges": {key: self._gauges[key].value for key in sorted(self._gauges)},
             "histograms": {
                 key: self._histograms[key].summary()

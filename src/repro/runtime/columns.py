@@ -6,7 +6,7 @@ The scheduler now keeps every in-flight delivery in the preallocated numpy
 columns below, indexed by a *slot* that travels through the heap as a plain
 ``int``; ``DeliveryRecord`` remains the public façade and is materialized
 from the columns only on cold paths (``pending_deliveries``, cancel
-predicates, offline requeue).
+predicates, bare delivery targets).
 
 Two tables live here:
 
@@ -179,6 +179,3 @@ class PairTails:
         index = self._index.get((sender, receiver))
         if index is not None:
             self.tails[index] = -math.inf
-
-    def __len__(self) -> int:
-        return len(self._index)

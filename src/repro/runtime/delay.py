@@ -55,19 +55,6 @@ class RoundDelayBreakdown:
     per_client_completion_s: Dict[str, float] = field(default_factory=dict)
     aggregator_busy_s: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, float]:
-        """Scalar fields as a plain dict (for tables and JSON dumps)."""
-        return {
-            "round_index": self.round_index,
-            "training_s": self.training_s,
-            "upload_s": self.upload_s,
-            "aggregation_s": self.aggregation_s,
-            "distribution_s": self.distribution_s,
-            "coordination_s": self.coordination_s,
-            "messaging_s": self.messaging_s,
-            "total_s": self.total_s,
-        }
-
 
 class CriticalPathDelayModel:
     """Computes per-round processing delay from a topology and device fleet."""

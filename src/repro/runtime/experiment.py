@@ -53,6 +53,9 @@ from repro.utils.validation import require_in_range, require_positive
 
 __all__ = ["ExperimentConfig", "RoundResult", "ExperimentResult", "FLExperiment"]
 
+#: Side of the synthetic digit images; the model's input is its square.
+INPUT_SIDE = 16
+
 
 @dataclass
 class ExperimentConfig:
@@ -74,19 +77,16 @@ class ExperimentConfig:
     # Dataset
     dataset_samples: int = 6000
     test_fraction: float = 0.15
-    input_side: int = 16
     num_classes: int = 10
     client_data_fraction: float = 0.01
     partition: str = "iid"
     dirichlet_alpha: float = 0.5
-    shards_per_client: int = 2
     # Topology / coordination
     clustering_policy: str = "hierarchical"
     aggregator_fraction: float = 0.30
     aggregation: str = "fedavg"
     role_policy: str = "static"
     rebalance_every_round: bool = True
-    proximal_mu: float = 0.0
     # Devices
     device_tier: str = "laptop"
     heterogeneous_devices: bool = False
@@ -134,7 +134,6 @@ class ExperimentConfig:
         from repro.mqttfc.codecs import parse_codec_spec
 
         parse_codec_spec(self.update_codec)  # raises CodecError on bad specs
-        require_positive(self.proximal_mu, "proximal_mu", strict=False)
         if self.device_memory_override_bytes is not None:
             require_positive(self.device_memory_override_bytes, "device_memory_override_bytes")
         if self.tier_mix is not None:
@@ -227,11 +226,6 @@ class ExperimentResult:
         """Per-round test accuracies in order."""
         return [r.test_accuracy for r in self.rounds]
 
-    @property
-    def round_delays(self) -> List[float]:
-        """Per-round simulated processing delays in seconds."""
-        return [r.delay.total_s for r in self.rounds]
-
     def as_rows(self) -> List[Dict[str, float]]:
         """Row-per-round table representation."""
         return [r.as_dict() for r in self.rounds]
@@ -289,7 +283,7 @@ class FLExperiment:
             SyntheticDigitsConfig(
                 num_samples=config.dataset_samples,
                 num_classes=config.num_classes,
-                side=config.input_side,
+                side=INPUT_SIDE,
                 seed=self.seeds.seed("dataset"),
             )
         )
@@ -309,7 +303,7 @@ class FLExperiment:
         elif config.partition == "dirichlet":
             parts = dirichlet_partition(pool, config.num_clients, alpha=config.dirichlet_alpha, rng=rng)
         else:
-            parts = shard_partition(pool, config.num_clients, shards_per_client=config.shards_per_client, rng=rng)
+            parts = shard_partition(pool, config.num_clients, rng=rng)
 
         for index, part in enumerate(parts):
             client_id = self._client_id(index)
@@ -429,15 +423,13 @@ class FLExperiment:
             self.pump.register(client.mqtt)
 
             network = make_paper_mlp(
-                input_dim=config.input_side * config.input_side,
+                input_dim=INPUT_SIDE * INPUT_SIDE,
                 num_classes=config.num_classes,
                 seed=config.seed,
             )
             model = ClassifierModel(network, name=config.model_name)
             self.client_models[client_id] = model
-            self.client_optimizers[client_id] = Adam(
-                network, lr=config.learning_rate, proximal_mu=config.proximal_mu
-            )
+            self.client_optimizers[client_id] = Adam(network, lr=config.learning_rate)
 
         # Establish the session: the first client creates it, the rest of the
         # initial cohort join.  The capacity window [initial, num_clients]
@@ -514,9 +506,6 @@ class FLExperiment:
                 value += 1e-6
             return 0.0
         optimizer = self.client_optimizers[client_id]
-        if config.proximal_mu > 0.0:
-            # FedProx: anchor local training to the freshly synchronized global model.
-            optimizer.set_proximal_reference(model.state_dict())
         epochs = self._client_epochs.get(client_id)
         if epochs is None:
             loader = DataLoader(
@@ -871,7 +860,7 @@ class FLExperiment:
 
     def _total_traffic_bytes(self) -> int:
         """Payload bytes routed across all regional brokers."""
-        return int(sum(b.traffic.total_payload_bytes for b in self.brokers))
+        return int(sum(b.stats.bytes_delivered for b in self.brokers))
 
     def _total_messages_published(self) -> int:
         """Messages published across all regional brokers (bridged copies included)."""

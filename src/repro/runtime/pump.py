@@ -13,7 +13,7 @@ the messages actually arrive.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Optional
 
 from repro.mqtt.client import MQTTClient
 from repro.runtime.scheduler import EventScheduler
@@ -26,92 +26,22 @@ class MessagePump:
 
     Parameters
     ----------
-    clients:
-        Initial clients to register.
-    max_sweeps:
-        Bound on the number of sweeps before ``run_until_idle`` declares a
-        message loop.
-    clock:
-        Optional simulation clock, advanced to each delivery's ``deliver_at``
-        as messages are dispatched.
     scheduler:
         Optional pre-built :class:`EventScheduler` to drive; by default the
         pump owns a private one.
     """
 
-    def __init__(
-        self,
-        clients: Optional[Iterable[MQTTClient]] = None,
-        max_sweeps: Optional[int] = None,
-        clock: Optional[object] = None,
-        scheduler: Optional[EventScheduler] = None,
-    ) -> None:
-        if scheduler is None:
-            scheduler = EventScheduler(
-                clients, clock=clock, max_sweeps=100_000 if max_sweeps is None else max_sweeps
-            )
-        else:
-            # A pre-built scheduler keeps its own configuration unless the
-            # caller explicitly overrides it here.
-            if max_sweeps is not None:
-                scheduler.max_sweeps = int(max_sweeps)
-            if clock is not None:
-                scheduler.clock = clock
-            for client in clients or ():
-                scheduler.register(client)
-        self.scheduler = scheduler
-
-    @property
-    def max_sweeps(self) -> int:
-        """Sweep bound used by :meth:`run_until_idle` / :meth:`run_until`."""
-        return self.scheduler.max_sweeps
-
-    @max_sweeps.setter
-    def max_sweeps(self, value: int) -> None:
-        self.scheduler.max_sweeps = int(value)
-
-    @property
-    def total_messages(self) -> int:
-        """Messages dispatched to callbacks since construction."""
-        return self.scheduler.messages_processed
-
-    @property
-    def total_sweeps(self) -> int:
-        """Sweeps executed since construction."""
-        return self.scheduler.sweeps
+    def __init__(self, scheduler: Optional[EventScheduler] = None) -> None:
+        self.scheduler = scheduler if scheduler is not None else EventScheduler()
 
     def register(self, client: MQTTClient) -> None:
         """Add a client to the pump set (idempotent)."""
         self.scheduler.register(client)
 
-    def unregister(self, client: MQTTClient) -> None:
-        """Remove a client from the pump set."""
-        self.scheduler.unregister(client)
-
-    @property
-    def clients(self) -> List[MQTTClient]:
-        """The registered clients, in pump order."""
-        return self.scheduler.clients
-
-    def sweep(self) -> int:
-        """Process the currently pending deliveries once; returns messages handled."""
-        return self.scheduler.sweep()
-
     def run_until_idle(self) -> int:
         """Sweep until no client has pending messages; returns total handled.
 
-        Raises ``RuntimeError`` if the system does not quiesce within
-        ``max_sweeps`` sweeps (which would indicate a message loop).
+        Raises ``RuntimeError`` if the system does not quiesce within the
+        scheduler's ``max_sweeps`` sweeps (which would indicate a message loop).
         """
         return self.scheduler.run_until_idle()
-
-    def run_until(self, predicate: Callable[[], bool], max_sweeps: Optional[int] = None) -> bool:
-        """Sweep until ``predicate()`` holds or the system quiesces.
-
-        Returns True if the predicate was satisfied.
-        """
-        return self.scheduler.run_until(predicate, max_sweeps)
-
-    def __call__(self) -> int:
-        """Alias for :meth:`run_until_idle` so the pump can be passed as a callable."""
-        return self.run_until_idle()

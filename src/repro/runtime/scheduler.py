@@ -33,9 +33,9 @@ record *object* per delivery.  In-flight state lives in two places:
 
 Sender / receiver / topic strings are interned once on ingest
 (:class:`~repro.utils.soa.StringTable`) and only rehydrated on cold paths —
-:meth:`pending_deliveries`, cancel predicates and offline requeue materialize
-ordinary :class:`~repro.mqtt.messages.DeliveryRecord` façades from the
-columns on demand.
+:meth:`pending_deliveries` and cancel predicates materialize ordinary
+:class:`~repro.mqtt.messages.DeliveryRecord` façades from the columns on
+demand.
 
 Two ingestion paths feed the heap:
 
@@ -223,7 +223,6 @@ class EventScheduler:
         #: always empty or length 1; >1 only when two same-instant fan-outs
         #: from different brokers interleave member-by-member.
         self._cursors: List[_FanoutBatch] = []
-        self._brokers: List["MQTTBroker"] = []
 
         # Columnar hot state: interned ids, per-slot delivery columns, and the
         # per-(sender, receiver) FIFO tails.
@@ -243,6 +242,9 @@ class EventScheduler:
         self.actions_fired = 0
         self.sweeps = 0
         self.deliveries_dropped = 0
+        #: Always 0: an in-flight delivery to a disconnected client is dropped,
+        #: never requeued.  Kept because the ``scheduler_deliveries_requeued``
+        #: gauge is part of every exported metrics snapshot.
         self.deliveries_requeued = 0
         self.deliveries_cancelled = 0
         self.last_event_time = 0.0
@@ -254,11 +256,6 @@ class EventScheduler:
         if self.clock is not None:
             return float(self.clock.now())
         return self.last_event_time
-
-    def next_event_time(self) -> Optional[float]:
-        """Due time of the earliest pending event, or ``None`` when idle."""
-        self._collect()
-        return self._next_due()
 
     def _next_due(self) -> Optional[float]:
         """Earliest due time across the heap and any active batch cursors."""
@@ -275,33 +272,9 @@ class EventScheduler:
         if client not in self._clients:
             self._clients.append(client)
 
-    def unregister(self, client: MQTTClient) -> None:
-        """Remove a client from the collection set."""
-        if client in self._clients:
-            self._clients.remove(client)
-
-    @property
-    def clients(self) -> List[MQTTClient]:
-        """The registered clients, in registration order."""
-        return list(self._clients)
-
     def attach_broker(self, broker: "MQTTBroker") -> None:
         """Route ``broker``'s deliveries through this scheduler's heap."""
         broker.attach_scheduler(self)
-        if broker not in self._brokers:
-            self._brokers.append(broker)
-
-    def detach_broker(self, broker: "MQTTBroker") -> None:
-        """Restore ``broker``'s direct inbox delivery."""
-        if broker in self._brokers:
-            self._brokers.remove(broker)
-        if broker.scheduler is self:
-            broker.attach_scheduler(None)
-
-    @property
-    def brokers(self) -> List["MQTTBroker"]:
-        """Brokers currently delivering through this scheduler."""
-        return list(self._brokers)
 
     def attach_metrics(self, registry: Optional[object]) -> None:
         """Attach (or detach, with ``None``) a live delivery-latency histogram.
@@ -398,7 +371,7 @@ class EventScheduler:
         seq0: int,
         sender_idx: int,
         session_epoch: int,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    ) -> None:
         """Vectorized ingest of one same-publish fan-out (the broker fast path).
 
         ``deliver_at`` holds the per-member network times; the per-connection
@@ -406,8 +379,6 @@ class EventScheduler:
         ``pair_ids``.  When every member lands at the same instant (the
         broadcast common case) the whole fan-out becomes **one** heap entry;
         otherwise it degrades to per-member entries with identical keys.
-        Returns ``(clamped deliver_at, unclamped-or-None)`` so the broker's
-        lazy ``publish()`` result can report the same times the heap uses.
         """
         n = len(targets)
         if self.fifo_per_connection:
@@ -469,7 +440,6 @@ class EventScheduler:
                 )
                 heappush(heap, (due_list[i], seq0 + i, enq0 + i, _KIND_DELIVERY, slot))
         self._heap_deliveries += n
-        return effective, unclamped
 
     def call_at(self, when: float, action: Callable[[], None]) -> float:
         """Schedule ``action()`` to fire at simulated time ``when``.
@@ -498,15 +468,6 @@ class EventScheduler:
                 self.schedule(client, record)
                 collected += 1
         return collected
-
-    @property
-    def pending(self) -> int:
-        """Events in the heap plus uncollected inbox records."""
-        return (
-            self._heap_deliveries
-            + self._heap_actions
-            + sum(c.pending_messages for c in self._clients)
-        )
 
     @property
     def pending_delivery_count(self) -> int:
@@ -787,7 +748,7 @@ class EventScheduler:
         """Process the earliest event; returns True if a message callback ran.
 
         QoS-2 duplicates that the client suppresses (and timed actions) do not
-        count as processed messages, mirroring ``MQTTClient.loop`` semantics.
+        count as processed messages.
         The earliest event is the minimum over the heap top and every active
         batch cursor's next member — the exact total order the
         object-per-delivery heap produced.
@@ -839,10 +800,8 @@ class EventScheduler:
         target = columns.target[slot]  # type: ignore[index]
         message = columns.message[slot]  # type: ignore[index]
         # A client that disconnected after the broker routed this delivery but
-        # before its deliver_at never receives it.  QoS>0 records destined for
-        # a persistent session are requeued in the broker's offline queue (they
-        # replay on reconnect); everything else is dropped, as on a real
-        # broker where the TCP connection died mid-flight.
+        # before its deliver_at never receives it: the delivery is dropped, as
+        # on a real broker where the TCP connection died mid-flight.
         # (try/except beats getattr-with-default on this per-delivery path:
         # the attributes exist on every real target, so the guard is free.)
         try:
@@ -850,12 +809,8 @@ class EventScheduler:
         except AttributeError:
             connected = True
         if connected is False:
-            record = self._materialize_slot(slot)  # type: ignore[arg-type]
             columns.free(slot)  # type: ignore[arg-type]
-            if self._requeue_offline(record):
-                self.deliveries_requeued += 1
-            else:
-                self.deliveries_dropped += 1
+            self.deliveries_dropped += 1
             return False
         receiver_idx = int(columns.receiver[slot])  # type: ignore[index]
         sequence = int(columns.sequence[slot])  # type: ignore[index]
@@ -896,15 +851,11 @@ class EventScheduler:
                 sequence=sequence,
                 unclamped_deliver_at=float(unclamped) if unclamped == unclamped else None,
             )
-            try:
-                dispatch = target._dispatch
-            except AttributeError:  # plain DeliveryTarget: hand the record over untimed
-                target._deliver(record)
-                self.messages_processed += 1
-                return True
-            handled = bool(dispatch(record))
-        else:
-            handled = bool(dispatch_message(message, effective_qos))
+            # A plain DeliveryTarget: hand the record over untimed.
+            target._deliver(record)
+            self.messages_processed += 1
+            return True
+        handled = bool(dispatch_message(message, effective_qos))
         if handled:
             self.messages_processed += 1
         return handled
@@ -930,11 +881,7 @@ class EventScheduler:
             except AttributeError:
                 connected = True
             if connected is False:
-                record = self._materialize_batch_member(batch, i)
-                if self._requeue_offline(record):
-                    self.deliveries_requeued += 1
-                else:
-                    self.deliveries_dropped += 1
+                self.deliveries_dropped += 1
                 return False
         if self._trace is not None:
             self._trace.update(
@@ -958,26 +905,13 @@ class EventScheduler:
         try:
             dispatch_message = target._dispatch_message
         except AttributeError:
-            record = self._materialize_batch_member(batch, i)
-            try:
-                dispatch = target._dispatch
-            except AttributeError:
-                target._deliver(record)
-                self.messages_processed += 1
-                return True
-            handled = bool(dispatch(record))
-        else:
-            handled = bool(dispatch_message(message, batch.effective_qos[i]))
+            target._deliver(self._materialize_batch_member(batch, i))
+            self.messages_processed += 1
+            return True
+        handled = bool(dispatch_message(message, batch.effective_qos[i]))
         if handled:
             self.messages_processed += 1
         return handled
-
-    def _requeue_offline(self, record: DeliveryRecord) -> bool:
-        """Try to park an undeliverable record in a persistent offline queue."""
-        for broker in self._brokers:
-            if broker.requeue_offline(record):
-                return True
-        return False
 
     def sweep(self) -> int:
         """Process one batch of events; returns the messages handled.
@@ -1027,27 +961,6 @@ class EventScheduler:
         raise RuntimeError(
             f"event scheduler did not quiesce within {self.max_sweeps} sweeps"
         )
-
-    def run_until(self, predicate: Callable[[], bool], max_sweeps: Optional[int] = None) -> bool:
-        """Drain events until ``predicate()`` holds or the system quiesces.
-
-        Returns True if the predicate was satisfied.
-        """
-        limit = max_sweeps if max_sweeps is not None else self.max_sweeps
-        if predicate():
-            return True
-        for _ in range(limit):
-            processed = self.sweep()
-            if predicate():
-                return True
-            if (
-                processed == 0
-                and not self._heap
-                and not self._cursors
-                and self._collect() == 0
-            ):
-                return predicate()
-        return predicate()
 
     def run_until_quiet(self, max_events: Optional[int] = None) -> int:
         """Drain every pending *delivery* without fast-forwarding future actions.
@@ -1149,9 +1062,3 @@ class EventScheduler:
                 processed += 1
             if stop_when is not None and stop_when():
                 return processed
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"EventScheduler(pending={self.pending}, clients={len(self._clients)}, "
-            f"brokers={len(self._brokers)}, now={self.now():.6f})"
-        )

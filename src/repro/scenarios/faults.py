@@ -287,10 +287,3 @@ class FaultInjector:
                 "client-crash", args={"clients": ",".join(crashed)}
             )
         self._log("fault_start", fault, f"crashed {','.join(crashed) or '(nobody)'}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"FaultInjector(faults={len(self.faults)}, started={self.faults_started}, "
-            f"anchored_pending={sum(len(v) for v in self._anchored.values())}, "
-            f"pending_rejoins={len(self._pending_rejoins)})"
-        )

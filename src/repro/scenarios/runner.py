@@ -438,10 +438,6 @@ class GridResult:
     cached_cells: int = 0
     executed_cells: int = 0
 
-    def signatures(self) -> List[str]:
-        """Per-cell SHA-256 signatures, in cell-index order."""
-        return [cell.signature for cell in self.cells]
-
     def summary_rows(self) -> List[Dict[str, object]]:
         """Per-cell metric rows (see :func:`grid_summary_rows`)."""
         return grid_summary_rows(self.cells)

@@ -48,6 +48,18 @@ from repro.scenarios.store import ResultsStore, ResultsStoreError, StoredGrid
 __all__ = ["create_server", "serve_forever"]
 
 
+class _BadRequest(Exception):
+    """A request the server can read but not accept (answered with 400)."""
+
+
+def _seed(text: str) -> int:
+    """The ``<seed>`` path segment as an int; raises :class:`_BadRequest` otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _BadRequest("seed must be an integer") from None
+
+
 def _grid_cells(store: ResultsStore, grid: StoredGrid) -> List[CellResult]:
     """Rebuild a recorded grid's ordered cells from the runs table."""
     cells: List[CellResult] = []
@@ -108,7 +120,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["api", "runs"]:
                 self._json({"runs": [self._run_meta(r) for r in self.store.runs()]})
             elif parts[:2] == ["api", "runs"] and len(parts) == 4:
-                run = self.store.resolve_run(parts[2], seed=int(parts[3]))
+                run = self.store.resolve_run(parts[2], seed=_seed(parts[3]))
                 self._json(
                     {
                         **self._run_meta(run),
@@ -141,7 +153,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["api", "metrics"]:
                 self._json({"runs": [self._metrics_meta(r) for r in self.store.runs()]})
             elif parts[:2] == ["api", "metrics"] and len(parts) == 4:
-                run = self.store.resolve_run(parts[2], seed=int(parts[3]))
+                run = self.store.resolve_run(parts[2], seed=_seed(parts[3]))
                 self._json(
                     {
                         "spec_hash": run.spec_hash,
@@ -157,6 +169,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 self._send_trace_file(parts[2])
             else:
                 self._error(404, f"no such endpoint: {self.path}")
+        except _BadRequest as exc:
+            self._error(400, str(exc))
         except (ResultsStoreError, ValueError) as exc:
             self._error(404, str(exc))
         except BrokenPipeError:  # pragma: no cover - client went away

@@ -531,17 +531,6 @@ class ResultsStore:
                 db.execute("VACUUM")
         return {"runs": int(removed_runs), "grids": int(removed_grids)}
 
-    def delete_run(self, spec_hash: str, seed: int) -> bool:
-        """Delete one stored run; returns True when it existed."""
-        with self._lock:
-            db = self._db()
-            removed = db.execute(
-                "DELETE FROM runs WHERE spec_hash = ? AND seed = ?",
-                (spec_hash, int(seed)),
-            ).rowcount
-            db.commit()
-        return bool(removed)
-
     # ----------------------------------------------------------------- misc
 
     def stats(self) -> Dict[str, object]:

@@ -158,10 +158,6 @@ class AxisSpec:
         if not self.values:
             raise ScenarioSpecError(f"axis {self.path!r} has no values")
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form (``{"path": ..., "values": [...]}``)."""
-        return {"path": self.path, "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -176,10 +172,6 @@ class GridCell:
     index: int
     coordinates: Dict[str, object]
     spec: ScenarioSpec
-
-    def label(self) -> str:
-        """Compact ``path=value`` rendering for tables and progress lines."""
-        return ", ".join(f"{path}={_compact(value)}" for path, value in self.coordinates.items())
 
 
 def _compact(value: object) -> str:

@@ -36,12 +36,3 @@ class SimulationClock:
         if timestamp > self._now:
             self._now = float(timestamp)
         return self._now
-
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock (only meaningful between experiments)."""
-        if start < 0:
-            raise ValueError(f"start time must be non-negative, got {start}")
-        self._now = float(start)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"SimulationClock(now={self._now:.6f})"

@@ -82,29 +82,6 @@ class DeviceStats:
     bandwidth_bps: float = 12.5e6
     battery_level: float = 1.0
 
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-serializable representation (sent inside MQTTFC payloads)."""
-        return {
-            "device_id": self.device_id,
-            "round_index": int(self.round_index),
-            "available_memory_bytes": int(self.available_memory_bytes),
-            "cpu_load": float(self.cpu_load),
-            "bandwidth_bps": float(self.bandwidth_bps),
-            "battery_level": float(self.battery_level),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "DeviceStats":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            device_id=str(data["device_id"]),
-            round_index=int(data.get("round_index", 0)),
-            available_memory_bytes=int(data.get("available_memory_bytes", 0)),
-            cpu_load=float(data.get("cpu_load", 0.0)),
-            bandwidth_bps=float(data.get("bandwidth_bps", 0.0)),
-            battery_level=float(data.get("battery_level", 1.0)),
-        )
-
 
 class DeviceFleet:
     """A heterogeneous population of simulated devices.
@@ -203,12 +180,6 @@ class DeviceFleet:
 
     # -------------------------------------------------------------- accessors
 
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __contains__(self, device_id: str) -> bool:
-        return device_id in self._profiles
-
     @property
     def device_ids(self) -> List[str]:
         """All device ids (sorted for deterministic iteration)."""
@@ -221,10 +192,6 @@ class DeviceFleet:
     def stats(self, device_id: str) -> DeviceStats:
         """Latest dynamic stats snapshot for ``device_id``."""
         return self._stats[device_id]
-
-    def all_stats(self) -> Dict[str, DeviceStats]:
-        """Latest stats for every device."""
-        return dict(self._stats)
 
     # ----------------------------------------------------------------- drift
 
@@ -255,12 +222,6 @@ class DeviceFleet:
                 battery_level=float(np.clip(1.0 - 0.01 * round_index * rng.uniform(0.5, 1.5), 0.0, 1.0)),
             )
         return dict(self._stats)
-
-    def set_stats(self, stats: DeviceStats) -> None:
-        """Overwrite one device's dynamic stats (used by failure-injection tests)."""
-        if stats.device_id not in self._profiles:
-            raise KeyError(f"unknown device id {stats.device_id!r}")
-        self._stats[stats.device_id] = stats
 
     def scale_memory(self, device_id: str, factor: float) -> DeviceProfile:
         """Permanently rescale a device's memory capacity (scenario helper)."""

@@ -11,7 +11,7 @@ to debug: the log *is* the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["SimEvent", "EventLog", "ChurnEvent", "ChurnSchedule", "CHURN_ACTIONS"]
 
@@ -28,14 +28,9 @@ class SimEvent:
     session_id: str = ""
     detail: str = ""
 
-    @property
-    def end_time(self) -> float:
-        """Timestamp at which the event's activity completed."""
-        return self.timestamp + self.duration_s
-
 
 class EventLog:
-    """Append-only list of :class:`SimEvent` with simple query helpers."""
+    """Append-only list of :class:`SimEvent` with a filter and a histogram."""
 
     def __init__(self) -> None:
         self._events: List[SimEvent] = []
@@ -64,17 +59,6 @@ class EventLog:
         )
         self._events.append(event)
         return event
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[SimEvent]:
-        return iter(self._events)
-
-    @property
-    def events(self) -> List[SimEvent]:
-        """All events in insertion order (copy)."""
-        return list(self._events)
 
     def filter(
         self,
@@ -106,30 +90,6 @@ class EventLog:
         for event in self._events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def total_duration(self, kind: Optional[str] = None, actor: Optional[str] = None) -> float:
-        """Sum of durations over the matching events."""
-        return sum(e.duration_s for e in self.filter(kind=kind, actor=actor))
-
-    def round_span(self, round_index: int) -> float:
-        """Wall span (max end time − min start time) of a round's events."""
-        events = self.filter(round_index=round_index)
-        if not events:
-            return 0.0
-        start = min(e.timestamp for e in events)
-        end = max(e.end_time for e in events)
-        return end - start
-
-    def last_timestamp(self) -> float:
-        """End time of the latest-finishing event (0.0 when empty)."""
-        if not self._events:
-            return 0.0
-        return max(e.end_time for e in self._events)
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self._events.clear()
-
 
 # --------------------------------------------------------------------- churn
 
@@ -229,12 +189,6 @@ class ChurnSchedule:
     def events(self) -> List[ChurnEvent]:
         """The planned events sorted by time (stable for equal times)."""
         return sorted(self._events, key=lambda e: e.time)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[ChurnEvent]:
-        return iter(self.events)
 
     def bind(
         self,

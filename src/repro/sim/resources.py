@@ -95,10 +95,6 @@ class ResourceAccountant:
         device.in_use_bytes = max(0, device.in_use_bytes - int(num_bytes))
         device.releases += 1
 
-    def release_all(self, device_id: str) -> None:
-        """Zero out a device's in-use memory (end of round cleanup)."""
-        self._require(device_id).in_use_bytes = 0
-
     # -------------------------------------------------------------- inspection
 
     def in_use(self, device_id: str) -> int:
@@ -109,10 +105,6 @@ class ResourceAccountant:
         """Peak bytes ever charged to ``device_id``."""
         return self._require(device_id).high_water_bytes
 
-    def capacity(self, device_id: str) -> int:
-        """Registered capacity of ``device_id``."""
-        return self._require(device_id).capacity_bytes
-
     def overflow_count(self, device_id: str | None = None) -> int:
         """Number of overflow events (for one device or in total)."""
         if device_id is None:
@@ -122,16 +114,3 @@ class ResourceAccountant:
     def high_water_by_device(self) -> Dict[str, int]:
         """High-water marks for every registered device."""
         return {device_id: memory.high_water_bytes for device_id, memory in self._devices.items()}
-
-    def total_high_water(self) -> int:
-        """Sum of per-device high-water marks (a system-wide memory-pressure proxy)."""
-        return int(sum(m.high_water_bytes for m in self._devices.values()))
-
-    def reset(self) -> None:
-        """Clear usage and overflow history, keeping registered capacities."""
-        for memory in self._devices.values():
-            memory.in_use_bytes = 0
-            memory.high_water_bytes = 0
-            memory.allocations = 0
-            memory.releases = 0
-        self.overflow_events.clear()

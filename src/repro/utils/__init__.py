@@ -11,11 +11,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.utils.rng": ("SeedSequenceFactory", "derive_seed", "rng_from_seed"),
-        "repro.utils.bytesize": ("human_bytes", "parse_bytes"),
-        "repro.utils.timing": ("Stopwatch", "format_duration"),
-        "repro.utils.identifiers": ("make_client_id", "make_correlation_id", "make_session_id"),
-        "repro.utils.validation": (
-            "require", "require_positive", "require_in_range", "require_type",
-        ),
+        "repro.utils.timing": ("Stopwatch",),
+        "repro.utils.validation": ("require_positive", "require_in_range", "validate_identifier"),
     },
 )

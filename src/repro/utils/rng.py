@@ -10,7 +10,6 @@ experiment end to end.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -64,11 +63,6 @@ class SeedSequenceFactory:
     def __init__(self, base_seed: int = 0) -> None:
         self._base_seed = int(base_seed)
 
-    @property
-    def base_seed(self) -> int:
-        """The experiment-level seed this factory derives from."""
-        return self._base_seed
-
     def seed(self, *names: object) -> int:
         """Return the derived integer seed for the given component names."""
         return derive_seed(self._base_seed, *names)
@@ -76,16 +70,3 @@ class SeedSequenceFactory:
     def generator(self, *names: object) -> np.random.Generator:
         """Return a fresh generator for the given component names."""
         return np.random.default_rng(self.seed(*names))
-
-    def spawn(self, *names: object) -> "SeedSequenceFactory":
-        """Return a child factory rooted at the derived seed."""
-        return SeedSequenceFactory(self.seed(*names))
-
-    def shuffled(self, items: Iterable, *names: object) -> list:
-        """Return ``items`` as a list shuffled with a derived generator."""
-        out = list(items)
-        self.generator(*names).shuffle(out)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"SeedSequenceFactory(base_seed={self._base_seed})"

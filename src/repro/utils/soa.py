@@ -10,15 +10,14 @@ module holds the two leaf building blocks every columnar component uses:
 * :func:`grow` — the shared doubling policy for numpy columns, so every
   column in a table grows in lockstep and amortizes to O(1) per append.
 
-It deliberately imports nothing above :mod:`numpy`: both
-:mod:`repro.mqtt.network` (traffic accounting) and
-:mod:`repro.runtime.scheduler` (the event heap) sit on top of it, and those
-two must not import each other.
+It deliberately imports nothing above :mod:`numpy`, so the columnar
+components built on it (:mod:`repro.runtime.columns`,
+:mod:`repro.runtime.scheduler`) take no dependency on any higher layer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -45,7 +44,7 @@ class StringTable:
     """Bidirectional string interning: ``intern`` on ingest, ``value`` on egress.
 
     Indices are dense, start at 0 and are never reused, so any array indexed
-    by them (per-id byte counters, FIFO tails, …) only ever grows.  ``None``
+    by them (FIFO tails, delivery columns, …) only ever grows.  ``None``
     is a valid internable value — anonymous senders keep their identity.
     """
 
@@ -64,25 +63,6 @@ class StringTable:
             self._values.append(value)
         return index
 
-    def intern_many(self, values: Iterable[Optional[str]]) -> np.ndarray:
-        """Intern a sequence of values; returns their ids as an int64 array."""
-        return np.array([self.intern(v) for v in values], dtype=np.int64)
-
-    def lookup(self, value: Optional[str]) -> Optional[int]:
-        """The id for ``value`` if it was ever interned, else ``None``."""
-        return self._index.get(value)
-
     def value(self, index: int) -> Optional[str]:
         """The string behind an id (inverse of :meth:`intern`)."""
         return self._values[index]
-
-    @property
-    def values(self) -> List[Optional[str]]:
-        """The interned values, by id (live list — do not mutate)."""
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value: Optional[str]) -> bool:
-        return value in self._index

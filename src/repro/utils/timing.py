@@ -5,20 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "format_duration"]
-
-
-def format_duration(seconds: float) -> str:
-    """Format a duration in seconds as ``H:MM:SS.mmm`` (paper-style axis labels).
-
-    >>> format_duration(85.25)
-    '0:01:25.250'
-    """
-    if seconds < 0:
-        raise ValueError(f"duration must be non-negative, got {seconds}")
-    hours, rem = divmod(seconds, 3600)
-    minutes, secs = divmod(rem, 60)
-    return f"{int(hours)}:{int(minutes):02d}:{secs:06.3f}"
+__all__ = ["Stopwatch"]
 
 
 @dataclass
@@ -44,16 +31,6 @@ class Stopwatch:
             self._elapsed += time.perf_counter() - self._start
             self._start = None
         return self._elapsed
-
-    def reset(self) -> None:
-        """Reset the accumulated time and stop the stopwatch."""
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently timing."""
-        return self._start is not None
 
     @property
     def elapsed(self) -> float:

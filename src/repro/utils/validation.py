@@ -1,20 +1,19 @@
 """Argument-validation helpers shared across the code base.
 
 These exist so that public API entry points fail fast with clear messages
-instead of deep numpy broadcasting errors later on.
+instead of deep numpy broadcasting errors later on, and so that identifiers
+embedded in MQTT topics cannot contain topic separators.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Type
+import re
 
-__all__ = ["require", "require_positive", "require_in_range", "require_type", "require_one_of"]
+__all__ = ["require_positive", "require_in_range", "validate_identifier"]
 
-
-def require(condition: bool, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
+#: Characters allowed in client, session and function identifiers: they are
+#: embedded in MQTT topics, so never ``/``, ``+``, ``#`` or whitespace.
+_IDENTIFIER_RE = re.compile(r"^[A-Za-z0-9_.:\-]+$")
 
 
 def require_positive(value: float, name: str, *, strict: bool = True) -> float:
@@ -37,17 +36,11 @@ def require_in_range(value: float, name: str, low: float, high: float, *, inclus
     return value
 
 
-def require_type(value: Any, name: str, *types: Type) -> Any:
-    """Require ``value`` to be an instance of one of ``types``."""
-    if not isinstance(value, types):
-        names = ", ".join(t.__name__ for t in types)
-        raise TypeError(f"{name} must be of type {names}, got {type(value).__name__}")
-    return value
-
-
-def require_one_of(value: Any, name: str, options: Iterable[Any]) -> Any:
-    """Require ``value`` to be one of the allowed ``options``."""
-    options = list(options)
-    if value not in options:
-        raise ValueError(f"{name} must be one of {options}, got {value!r}")
-    return value
+def validate_identifier(identifier: str, kind: str = "identifier") -> str:
+    """Validate and return a topic-safe ``identifier``; raise ``ValueError`` otherwise."""
+    if not identifier or _IDENTIFIER_RE.match(identifier) is None:
+        raise ValueError(
+            f"invalid {kind} {identifier!r}: must be non-empty and contain only "
+            "letters, digits, '_', '-', '.', ':'"
+        )
+    return identifier

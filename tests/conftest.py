@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.ml.data import ArrayDataset, train_test_split
-from repro.ml.datasets import SyntheticDigitsConfig, make_gaussian_blobs, synthetic_digits
+from repro.ml.datasets import SyntheticDigitsConfig, synthetic_digits
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.runtime.pump import MessagePump
+
+from _support import make_blobs
 
 
 @pytest.fixture
@@ -56,4 +58,4 @@ def digits_split(small_digits):
 @pytest.fixture(scope="session")
 def blobs_dataset() -> ArrayDataset:
     """An easy Gaussian-blobs dataset for fast learning tests."""
-    return make_gaussian_blobs(num_samples=400, num_classes=3, num_features=16, seed=5)
+    return make_blobs(num_samples=400, num_classes=3, num_features=16, seed=5)

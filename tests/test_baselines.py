@@ -34,9 +34,8 @@ class TestOfflineBaseline:
         baseline = OfflineTrainingBaseline(train, test, data_fraction=0.5, rounds=3, local_epochs=2, seed=0)
         result = baseline.run()
         assert len(result.accuracies) == 3
-        assert result.final_accuracy == result.accuracies[-1]
         assert result.accuracies[-1] >= result.accuracies[0]
-        assert result.final_accuracy > 0.5
+        assert result.accuracies[-1] > 0.5
         assert result.num_train_samples == len(baseline.train_subset)
 
     def test_data_fraction_controls_subset_size(self, digits_split_module):
@@ -63,7 +62,7 @@ class TestCentralizedFedAvg:
         baseline = CentralizedFedAvgBaseline(shards, test, rounds=3, local_epochs=2, seed=0)
         result = baseline.run()
         assert len(result.accuracies) == 3
-        assert result.final_accuracy > 0.5
+        assert result.accuracies[-1] > 0.5
         assert result.accuracies[-1] >= result.accuracies[0]
         assert result.client_samples == {cid: len(ds) for cid, ds in shards.items()}
 
@@ -85,7 +84,7 @@ class TestGossipBaseline:
         baseline = GossipFLBaseline(shards, test, rounds=2, local_epochs=2, neighbours=2, seed=0)
         result = baseline.run()
         assert len(result.accuracies) == 2
-        assert result.final_accuracy > 0.4
+        assert result.accuracies[-1] > 0.4
         assert result.total_delay_s > 0
         assert all(d > 0 for d in result.round_delays_s)
 

@@ -22,10 +22,12 @@ from repro.core.role_optimizers import RoundRobinPolicy
 from repro.core.roles import Role
 from repro.core.session import SessionState
 from repro.ml.models import ClassifierModel, make_mlp
-from repro.ml.state import cast_state_dict, state_dict_nbytes, state_dicts_allclose
+from repro.ml.state import cast_state_dict, state_dict_nbytes
 from repro.mqtt.broker import MQTTBroker
 from repro.runtime.pump import MessagePump
 from repro.sim.resources import ResourceAccountant
+
+from _support import states_allclose
 
 SESSION = "itest"
 
@@ -106,7 +108,7 @@ class TestSingleRoundCorrectness:
                 for cid, u in uploads.items()
             ]
         )
-        stored = server.global_state(SESSION)
+        stored = server.record(SESSION).state
         assert stored is not None
         # float32 wire encoding bounds the achievable precision.
         for key in expected:
@@ -119,14 +121,14 @@ class TestSingleRoundCorrectness:
         run_round(pump, clients, models, offsets=np.linspace(0, 1, 5))
         reference = models[clients[0].client_id].state_dict()
         for client in clients[1:]:
-            assert state_dicts_allclose(models[client.client_id].state_dict(), reference)
+            assert states_allclose(models[client.client_id].state_dict(), reference)
 
     def test_weighting_by_num_samples(self):
         broker = MQTTBroker("itest-broker")
         pump, _, server, clients, models = build_stack(broker, 3, policy="central")
         # client_002 has 3x the samples of client_000; its update dominates.
         uploads = run_round(pump, clients, models, offsets=[0.0, 0.0, 1.0])
-        stored = server.global_state(SESSION)
+        stored = server.record(SESSION).state
         expected = FedAvg().aggregate(
             [ModelContribution(u["state"], weight=u["weight"]) for u in uploads.values()]
         )
@@ -175,7 +177,7 @@ class TestWireDtype:
             state = cast_state_dict(FedAvg().aggregate(inputs), "float32")
             return ModelContribution(state, sum(c.weight for c in inputs), cid)
 
-        stored = server.global_state(SESSION)
+        stored = server.record(SESSION).state
         tiered = relayed(topology.root_id).state
         flat = FedAvg().aggregate(list(wire.values()))
         assert sorted(log) == topology.aggregator_ids
@@ -193,7 +195,7 @@ class TestWireDtype:
         uploads = run_round(pump, clients, models, offsets=np.zeros(10))
         upload_nbytes = state_dict_nbytes(cast_state_dict(uploads["client_000"]["state"], "float32"))
         topology = coordinator.session(SESSION).topology
-        assert any(topology.node(child).role.aggregates for child in topology.children_of(topology.root_id))
+        assert any(topology.node(child).role.aggregates for child in topology.node(topology.root_id).children)
         for aggregator, inputs in log.items():
             assert {nbytes for _sender, nbytes in inputs} == {upload_nbytes}
             # Peers are charged while buffered, the aggregator's own update is not.
@@ -211,8 +213,8 @@ class TestWireDtype:
         uploads = run_round(pump, clients, models, offsets=np.linspace(0.1, 0.3, 3))
         upload_nbytes = state_dict_nbytes(cast_state_dict(uploads["client_002"]["state"], "float32"))
         # The root took in exactly one frame: the inner relay's partial aggregate.
-        assert log[topology.root_id] == [(topology.children_of(topology.root_id)[0], upload_nbytes)]
-        assert all(value.dtype == np.float32 for value in server.global_state(SESSION).values())
+        assert log[topology.root_id] == [(topology.node(topology.root_id).children[0], upload_nbytes)]
+        assert all(value.dtype == np.float32 for value in server.record(SESSION).state.values())
 
     def test_float64_contributions_still_aggregate_to_float64(self):
         states = [{"w": np.full(3, value)} for value in (1.0, 2.0)]
@@ -233,18 +235,18 @@ class TestMultiRoundProtocol:
         assert session.state is SessionState.COMPLETED
         assert session.completed_rounds == 3
         assert server.record(SESSION).version == 3
-        assert all(client.session_completed(SESSION) for client in clients)
+        assert all(client.participation(SESSION).rounds.completed for client in clients)
 
     def test_client_round_view_follows_coordinator(self):
         broker = MQTTBroker("itest-broker")
         pump, coordinator, _, clients, models = build_stack(broker, 4, fl_rounds=3)
-        assert all(client.current_round(SESSION) == 0 for client in clients)
+        assert all(client.participation(SESSION).current_round == 0 for client in clients)
         run_round(pump, clients, models, offsets=np.zeros(4))
         for client in clients:
             client.report_stats(SESSION)
         pump.run_until_idle()
         assert coordinator.session(SESSION).round_index == 1
-        assert all(client.current_round(SESSION) == 1 for client in clients)
+        assert all(client.participation(SESSION).current_round == 1 for client in clients)
 
     def test_round_robin_rearrangement_changes_aggregators(self):
         broker = MQTTBroker("itest-broker")
@@ -262,7 +264,7 @@ class TestMultiRoundProtocol:
         assert coordinator.role_messages_sent > 6  # initial arrangement + some updates
         # Aggregation still works after the role hand-over.
         run_round(pump, clients, models, offsets=np.full(6, 0.2))
-        assert all(client.current_round(SESSION) >= 1 for client in clients)
+        assert all(client.participation(SESSION).current_round >= 1 for client in clients)
 
     def test_static_rearrangement_contacts_nobody(self):
         broker = MQTTBroker("itest-broker")
@@ -288,9 +290,9 @@ class TestClientErrorHandling:
     def test_send_local_without_model_raises(self, broker):
         pump, _, _, clients, _ = build_stack(broker, 3)
         bare = clients[0]
-        bare.models.unregister(SESSION)
+        bare._ensure_participation("no-model", "mlp", 1, "fedavg")
         with pytest.raises(KeyError):
-            bare.send_local(SESSION)
+            bare.send_local("no-model")
 
     def test_wait_global_update_times_out_when_stalled(self, broker):
         pump, _, _, clients, models = build_stack(broker, 3)
@@ -315,7 +317,7 @@ class TestClientErrorHandling:
             SESSION, {"state": {"w": np.zeros(2)}, "weight": 1.0, "sender": "peer"}
         )
         participation = trainer.participation(SESSION)
-        assert [c.sender_id for c in participation.pending_contributions] == ["peer"]
+        assert [c.sender_id for c in participation.buffer.pending] == ["peer"]
 
 
 class TestResourceAccounting:

@@ -69,9 +69,9 @@ class TestHierarchicalPolicy:
         engine = ClusteringEngine(ClusteringConfig(policy="hierarchical", aggregator_fraction=0.30))
         topology = engine.build("s", _clients(20))
         assert len(topology.aggregator_ids) == 6
-        levels = topology.aggregators_by_level()
-        assert len(levels[0]) == 1  # one root
-        assert len(levels[1]) == 5  # intermediates
+        levels = [topology.node(a).level for a in topology.aggregator_ids]
+        assert levels.count(0) == 1  # one root
+        assert levels.count(1) == 5  # intermediates
 
     def test_trainers_balanced_across_clusters(self):
         engine = ClusteringEngine(ClusteringConfig(aggregator_fraction=0.30))
@@ -125,13 +125,6 @@ class TestHierarchicalPolicy:
         with pytest.raises(SDFLMQError):
             ClusteringEngine().build("s", [])
 
-    def test_max_children_adds_levels(self):
-        engine = ClusteringEngine(ClusteringConfig(aggregator_fraction=0.1, max_children=3))
-        topology = engine.build("s", _clients(20))
-        topology.validate()
-        assert all(topology.node(a).fan_in <= 3 for a in topology.aggregator_ids)
-        assert topology.num_levels >= 3
-
     def test_rng_shuffles_selection(self):
         engine = ClusteringEngine()
         topology_a = engine.build("s", _clients(10), rng=np.random.default_rng(1))
@@ -151,11 +144,11 @@ class TestHierarchicalPolicy:
         assert set(topology.client_ids) == set(_clients(num_clients))
         # Every trainer reaches the root through aggregators only.
         for cid in topology.client_ids:
-            cursor = topology.parent_of(cid)
+            cursor = topology.node(cid).parent_id
             hops = 0
             while cursor is not None:
                 assert topology.node(cursor).role.aggregates
-                cursor = topology.parent_of(cursor)
+                cursor = topology.node(cursor).parent_id
                 hops += 1
                 assert hops <= num_clients
         # Fan-in conservation: the root's subtree must cover every client.
@@ -163,7 +156,7 @@ class TestHierarchicalPolicy:
 
         def walk(node_id):
             covered.add(node_id)
-            for child in topology.children_of(node_id):
+            for child in topology.node(node_id).children:
                 walk(child)
 
         walk(topology.root_id)
@@ -171,15 +164,16 @@ class TestHierarchicalPolicy:
 
 
 class TestTopologySerialization:
-    def test_dict_roundtrip(self):
+    def test_to_dict_describes_every_node(self):
         topology = ClusteringEngine().build("sess", _clients(9))
-        rebuilt = ClusterTopology.from_dict(topology.to_dict())
-        assert rebuilt.root_id == topology.root_id
-        assert rebuilt.client_ids == topology.client_ids
+        document = topology.to_dict()
+        assert document["root_id"] == topology.root_id
+        assert sorted(document["nodes"]) == topology.client_ids
         for cid in topology.client_ids:
-            assert rebuilt.node(cid).role == topology.node(cid).role
-            assert rebuilt.node(cid).parent_id == topology.node(cid).parent_id
-            assert sorted(rebuilt.node(cid).children) == sorted(topology.node(cid).children)
+            node = document["nodes"][cid]
+            assert node["role"] == topology.node(cid).role.value
+            assert node["parent_id"] == topology.node(cid).parent_id
+            assert node["children"] == topology.node(cid).children
 
     def test_validation_catches_orphan(self):
         nodes = {

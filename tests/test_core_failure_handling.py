@@ -20,9 +20,34 @@ from repro.core.session import SessionState
 from repro.core.topics import presence_topic
 from repro.ml.models import ClassifierModel, make_mlp
 from repro.mqtt.broker import MQTTBroker
+from repro.mqtt.client import MQTTClient
 from repro.runtime.pump import MessagePump
 
 SESSION = "failover"
+
+
+def _retained_payload(broker, topic):
+    """What a client subscribing to ``topic`` now is handed as its retained message."""
+    observer = MQTTClient(f"observer_{len(broker.connected_clients)}")
+    observer.connect(broker)
+    observer.subscribe(topic)
+    (record,) = observer.take_pending()
+    observer.disconnect()
+    return record.message.payload
+
+
+def _leave(client):
+    """Depart gracefully: publish the ``offline`` presence marker, then disconnect."""
+    client.mqtt.publish(presence_topic(client.client_id), b"offline", qos=1, retain=True)
+    client.disconnect()
+
+
+def _global_stored(server):
+    try:
+        server.record(SESSION)
+    except KeyError:
+        return False
+    return True
 
 
 def build(num_clients, policy="hierarchical", fl_rounds=2):
@@ -54,12 +79,11 @@ def build(num_clients, policy="hierarchical", fl_rounds=2):
 class TestPresence:
     def test_online_marker_retained_on_connect(self):
         broker, pump, coordinator, *_ = build(2)
-        retained = broker.retained_message(presence_topic("client_000"))
-        assert retained is not None and retained.payload == b"online"
+        assert _retained_payload(broker, presence_topic("client_000")) == b"online"
 
     def test_graceful_leave_removes_contributor(self):
         broker, pump, coordinator, server, clients, models = build(4)
-        clients[3].leave()
+        _leave(clients[3])
         pump.run_until_idle()
         session = coordinator.session(SESSION)
         assert "client_003" not in session.contributors
@@ -71,7 +95,7 @@ class TestPresence:
         clients[2].disconnect(unexpected=True)
         pump.run_until_idle()
         assert "client_002" not in coordinator.session(SESSION).contributors
-        assert broker.retained_message(presence_topic("client_002")).payload == b"offline"
+        assert _retained_payload(broker, presence_topic("client_002")) == b"offline"
 
     def test_clean_disconnect_without_leave_keeps_membership(self):
         """A clean MQTT disconnect sends no will; the coordinator keeps the client
@@ -84,7 +108,7 @@ class TestPresence:
     def test_all_clients_leaving_terminates_session(self):
         broker, pump, coordinator, server, clients, models = build(2)
         for client in clients:
-            client.leave()
+            _leave(client)
             pump.run_until_idle()
         session = coordinator.session(SESSION)
         assert session.state is SessionState.TERMINATED
@@ -102,7 +126,7 @@ class TestMidRoundDropout:
         broker, pump, coordinator, server, clients, models = build(5)
         session = coordinator.session(SESSION)
         dropped = next(
-            cid for cid in session.topology.trainer_ids
+            cid for cid in session.topology.client_ids
             if not session.topology.node(cid).role.aggregates
         )
         survivors = [c for c in clients if c.client_id != dropped]
@@ -112,12 +136,12 @@ class TestMidRoundDropout:
         for index, client in enumerate(survivors):
             self._local_update(client, models[client.client_id], 0.1 * index)
         pump.run_until_idle()
-        assert not server.has_model(SESSION)  # still waiting for the victim
+        assert not _global_stored(server)  # still waiting for the victim
 
         victim.disconnect(unexpected=True)
         pump.run_until_idle()
 
-        assert server.has_model(SESSION)
+        assert _global_stored(server)
         for client in survivors:
             client.wait_global_update(SESSION)
         assert dropped not in coordinator.session(SESSION).topology.client_ids
@@ -187,7 +211,7 @@ class TestMidRoundAggregatorLoss:
         victim.disconnect(unexpected=True)
         pump.run_until_idle()
 
-        assert server.has_model(SESSION)
+        assert _global_stored(server)
         survivors = [c for c in clients if c is not victim]
         for client in survivors:
             client.wait_global_update(SESSION)
@@ -210,7 +234,7 @@ class TestMidRoundAggregatorLoss:
         pump.run_until_idle()
 
         survivors = [c for c in clients if c is not victim]
-        assert server.has_model(SESSION)
+        assert _global_stored(server)
         for client in survivors:
             client.wait_global_update(SESSION)
         new_topology = coordinator.session(SESSION).topology
@@ -232,7 +256,7 @@ class TestMidRoundAggregatorLoss:
         root._handle_receive_model(SESSION, {
             "state": state_a, "weight": 10.0, "sender": trainer.client_id, "round_index": 0,
         })
-        assert len(root.participation(SESSION).pending_contributions) == 1
+        assert len(root.participation(SESSION).buffer.pending) == 1
 
     def test_round_restart_event_recorded(self):
         broker, pump, coordinator, server, clients, models = build(4)
@@ -245,4 +269,4 @@ class TestMidRoundAggregatorLoss:
         pump.run_until_idle()
         # A restart was broadcast because the round was incomplete at drop time.
         assert coordinator.clients_dropped == 1
-        assert server.has_model(SESSION)
+        assert _global_stored(server)

@@ -254,7 +254,7 @@ class TestFLSession:
         )
         assert session.stats["c0"].available_memory_bytes == 42
 
-    def test_terminate_and_expiry(self):
+    def test_terminate(self):
         session = FLSession(self._request(), created_at=0.0)
         session.add_contributor("c0")
         session.terminate("test")
@@ -262,10 +262,6 @@ class TestFLSession:
         assert not session.is_active
         with pytest.raises(SessionError):
             session.add_contributor("c1")
-
-        fresh = FLSession(self._request(), created_at=0.0)
-        assert not fresh.expired(now=10.0)
-        assert fresh.expired(now=fresh.request.session_time_s + 1)
 
     def test_global_update_counter(self):
         session = FLSession(self._request())

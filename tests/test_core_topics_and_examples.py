@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import topics
-from repro.mqtt.topics import topic_matches_filter, validate_topic, validate_topic_filter
+from repro.mqtt.topics import topic_matches_filter, validate_topic
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
@@ -26,7 +26,6 @@ class TestTopicScheme:
         assert topics.aggregator_params_topic("s1", "agg") == "sdflmq/session/s1/aggregator/agg/params"
         assert topics.global_store_topic("s1") == "sdflmq/session/s1/global/store"
         assert topics.global_update_topic("s1") == "sdflmq/session/s1/global/update"
-        assert topics.session_status_topic("s1") == "sdflmq/session/s1/status"
 
     def test_presence_topics(self):
         assert topics.presence_topic("c9") == "sdflmq/presence/c9"
@@ -40,22 +39,9 @@ class TestTopicScheme:
             topics.aggregator_params_topic("s", "a"),
             topics.global_store_topic("s"),
             topics.global_update_topic("s"),
-            topics.session_status_topic("s"),
             topics.presence_topic("c"),
         ):
             validate_topic(topic)
-
-    def test_session_wildcard_covers_session_topics(self):
-        wildcard = topics.session_wildcard("s1")
-        validate_topic_filter(wildcard)
-        for topic in (
-            topics.session_broadcast_topic("s1"),
-            topics.aggregator_params_topic("s1", "agg"),
-            topics.global_store_topic("s1"),
-            topics.global_update_topic("s1"),
-        ):
-            assert topic_matches_filter(topic, wildcard)
-        assert not topic_matches_filter(topics.session_broadcast_topic("other"), wildcard)
 
     def test_invalid_identifiers_rejected(self):
         with pytest.raises(ValueError):
@@ -65,9 +51,7 @@ class TestTopicScheme:
 
     def test_distinct_sessions_do_not_collide(self):
         assert topics.global_update_topic("a") != topics.global_update_topic("b")
-        assert not topic_matches_filter(
-            topics.global_update_topic("a"), topics.session_wildcard("b")
-        )
+        assert not topic_matches_filter(topics.global_update_topic("a"), "sdflmq/session/b/#")
 
 
 def _load_example(name: str):

@@ -10,22 +10,20 @@ from repro.ml.data import ArrayDataset, DataLoader, train_test_split
 from repro.ml.datasets import (
     SyntheticDigitsConfig,
     _smooth_prototype,
-    make_gaussian_blobs,
     synthetic_digits,
 )
-from repro.ml.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.ml.metrics import accuracy
 from repro.ml.models import ClassifierModel, make_paper_mlp
-from repro.ml.partition import dirichlet_partition, fraction_subsample, iid_partition, shard_partition
+from repro.ml.partition import dirichlet_partition, iid_partition, shard_partition
 from repro.ml.state import (
     cast_state_dict,
     flatten_state_dict,
     state_dict_nbytes,
-    state_dict_num_parameters,
-    state_dicts_allclose,
     unflatten_state_dict,
-    zeros_like_state_dict,
 )
 from repro.utils.rng import rng_from_seed
+
+from _support import make_blobs, states_allclose
 
 
 class TestArrayDataset:
@@ -49,30 +47,13 @@ class TestArrayDataset:
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.labels, [1, 3, 5])
 
-    def test_class_counts(self):
-        ds = ArrayDataset(np.zeros((6, 1)), np.array([0, 0, 1, 2, 2, 2]))
-        np.testing.assert_array_equal(ds.class_counts(), [2, 1, 3])
-
-    def test_getitem(self):
-        ds = ArrayDataset(np.arange(8).reshape(4, 2), np.arange(4))
-        features, label = ds[2]
-        np.testing.assert_array_equal(features, [4, 5])
-        assert label == 2
-
-
 class TestDataLoader:
     def test_batches_cover_everything(self):
         ds = ArrayDataset(np.arange(25).reshape(25, 1), np.arange(25))
         loader = DataLoader(ds, batch_size=4, shuffle=True, rng=np.random.default_rng(0))
         seen = np.concatenate([labels for _, labels in loader])
         assert sorted(seen.tolist()) == list(range(25))
-        assert len(loader) == 7
-
-    def test_drop_last(self):
-        ds = ArrayDataset(np.zeros((25, 1)), np.zeros(25, dtype=int))
-        loader = DataLoader(ds, batch_size=4, drop_last=True)
-        assert len(loader) == 6
-        assert all(len(labels) == 4 for _, labels in loader)
+        assert [len(labels) for _, labels in loader] == [4] * 6 + [1]
 
     def test_deterministic_given_rng(self):
         ds = ArrayDataset(np.arange(30).reshape(30, 1), np.arange(30))
@@ -179,7 +160,7 @@ class TestSyntheticDigits:
             SyntheticDigitsConfig(max_shift=100, side=8)
 
     def test_gaussian_blobs_separable(self):
-        ds = make_gaussian_blobs(num_samples=200, num_classes=3, separation=5.0, noise=0.5, seed=0)
+        ds = make_blobs(num_samples=200, num_classes=3, separation=5.0, noise=0.5, seed=0)
         assert len(ds) == 200
         assert ds.num_classes == 3
 
@@ -230,19 +211,10 @@ class TestPartitioners:
         classes_per_client = [len(np.unique(dataset.labels[p])) for p in parts]
         assert np.mean(classes_per_client) < dataset.num_classes * 0.6
 
-    def test_fraction_subsample(self, dataset):
-        indices = fraction_subsample(dataset, 0.1, rng=np.random.default_rng(0))
-        assert len(indices) == round(0.1 * len(dataset))
-        assert len(np.unique(indices)) == len(indices)
-
-    def test_fraction_subsample_invalid(self, dataset):
-        with pytest.raises(ValueError):
-            fraction_subsample(dataset, 0.0)
-
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=12, deadline=None)
     def test_iid_partition_property(self, num_clients):
-        ds = make_gaussian_blobs(num_samples=60, num_classes=3, seed=1)
+        ds = make_blobs(num_samples=60, num_classes=3, seed=1)
         parts = iid_partition(ds, num_clients, rng=np.random.default_rng(0))
         assert len(parts) == num_clients
         assert sum(len(p) for p in parts) == 60
@@ -264,30 +236,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accuracy(np.array([0, 1]), np.array([0]))
 
-    def test_top_k(self):
-        logits = np.array([[0.1, 0.5, 0.4], [0.7, 0.2, 0.1]])
-        assert top_k_accuracy(logits, np.array([2, 1]), k=1) == 0.0
-        assert top_k_accuracy(logits, np.array([2, 1]), k=2) == 1.0
-
-    def test_top_k_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.array([0, 1]), k=5)
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), num_classes=3)
-        assert matrix[0, 0] == 1 and matrix[1, 1] == 1 and matrix[2, 1] == 1 and matrix[2, 2] == 1
-        assert matrix.sum() == 4
-
-
 class TestStateUtilities:
     @staticmethod
     def _state(seed=0):
         rng = np.random.default_rng(seed)
         return {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3), "scalar": rng.normal(size=())}
 
-    def test_num_parameters_and_nbytes(self):
+    def test_nbytes(self):
         state = self._state()
-        assert state_dict_num_parameters(state) == 16
         assert state_dict_nbytes(state) == 16 * 8
         assert state_dict_nbytes(state, "float32") == 16 * 4
 
@@ -295,28 +251,17 @@ class TestStateUtilities:
         state = self._state()
         vector, spec = flatten_state_dict(state)
         rebuilt = unflatten_state_dict(vector, spec)
-        assert state_dicts_allclose(state, rebuilt)
+        assert states_allclose(state, rebuilt)
 
     def test_unflatten_wrong_size_rejected(self):
         _, spec = flatten_state_dict(self._state())
         with pytest.raises(ValueError):
             unflatten_state_dict(np.zeros(3), spec)
 
-    def test_zeros_like(self):
-        zeros = zeros_like_state_dict(self._state())
-        assert all(np.all(v == 0) for v in zeros.values())
-
     def test_cast_state_dict(self):
         casted = cast_state_dict(self._state(), "float32")
         assert all(v.dtype == np.float32 for v in casted.values())
         assert all(v.flags["C_CONTIGUOUS"] for v in casted.values())
-
-    def test_allclose_detects_differences(self):
-        a, b = self._state(), self._state()
-        assert state_dicts_allclose(a, b)
-        b["w"] = b["w"] + 1e-3
-        assert not state_dicts_allclose(a, b)
-        assert not state_dicts_allclose(a, {"w": a["w"]})
 
     def test_empty_state_dict(self):
         vector, spec = flatten_state_dict({})
@@ -332,5 +277,5 @@ class TestStateUtilities:
             for i in range(num_arrays)
         }
         vector, spec = flatten_state_dict(state)
-        assert vector.size == state_dict_num_parameters(state)
-        assert state_dicts_allclose(state, unflatten_state_dict(vector, spec))
+        assert vector.size == sum(value.size for value in state.values())
+        assert states_allclose(state, unflatten_state_dict(vector, spec))

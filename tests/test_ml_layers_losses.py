@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.layers import Dropout, Flatten, LeakyReLU, Linear, ReLU, Sequential, Sigmoid, Tanh
-from repro.ml.losses import CrossEntropyLoss, MSELoss, softmax
+from repro.ml.layers import Linear, ReLU, Sequential
+from repro.ml.losses import CrossEntropyLoss, softmax
+
+from _support import SquaredError
 
 
 def numerical_gradient(f, x, eps=1e-6):
@@ -47,7 +49,7 @@ class TestLinear:
         layer = Linear(5, 3, rng=rng)
         x = rng.normal(size=(7, 5))
         target = rng.normal(size=(7, 3))
-        loss_fn = MSELoss()
+        loss_fn = SquaredError()
 
         def loss_value():
             return loss_fn.forward(layer.forward(x, training=True), target)
@@ -64,7 +66,7 @@ class TestLinear:
         layer = Linear(4, 2, rng=rng)
         x = rng.normal(size=(6, 4))
         target = rng.normal(size=(6, 2))
-        loss_fn = MSELoss()
+        loss_fn = SquaredError()
 
         def loss_value():
             return loss_fn.forward(layer.forward(x, training=True), target)
@@ -80,7 +82,7 @@ class TestLinear:
         layer = Linear(4, 3, rng=rng)
         x = rng.normal(size=(2, 4))
         target = rng.normal(size=(2, 3))
-        loss_fn = MSELoss()
+        loss_fn = SquaredError()
 
         def loss_value():
             return loss_fn.forward(layer.forward(x, training=True), target)
@@ -107,13 +109,13 @@ class TestLinear:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("layer_cls", [ReLU, LeakyReLU, Sigmoid, Tanh])
+    @pytest.mark.parametrize("layer_cls", [ReLU])
     def test_activation_gradients_match_numerical(self, layer_cls):
         rng = np.random.default_rng(7)
         layer = layer_cls()
         x = rng.normal(size=(4, 6)) + 0.1  # avoid the ReLU kink at exactly 0
         target = rng.normal(size=(4, 6))
-        loss_fn = MSELoss()
+        loss_fn = SquaredError()
 
         def loss_value():
             return loss_fn.forward(layer.forward(x, training=True), target)
@@ -127,65 +129,13 @@ class TestActivations:
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
-    def test_leaky_relu_negative_slope(self):
-        out = LeakyReLU(0.1).forward(np.array([[-10.0, 5.0]]))
-        np.testing.assert_allclose(out, [[-1.0, 5.0]])
-
-    def test_sigmoid_range(self):
-        out = Sigmoid().forward(np.linspace(-20, 20, 21).reshape(1, -1))
-        assert np.all(out > 0) and np.all(out < 1)
-
-    def test_sigmoid_extreme_inputs_finite(self):
-        out = Sigmoid().forward(np.array([[-1e6, 1e6]]))
-        assert np.isfinite(out).all()
-        assert 0.0 <= out.min() and out.max() <= 1.0
-
     def test_backward_before_forward_rejected(self):
-        for layer in (ReLU(), LeakyReLU(), Sigmoid(), Tanh(), Flatten()):
+        for layer in (ReLU(),):
             with pytest.raises(RuntimeError):
                 layer.backward(np.zeros((1, 1)))
 
 
-class TestDropout:
-    def test_inference_mode_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(5, 5))
-        np.testing.assert_array_equal(Dropout(0.5).forward(x, training=False), x)
-
-    def test_training_mode_zeroes_roughly_p_fraction(self):
-        dropout = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = dropout.forward(x, training=True)
-        zero_fraction = np.mean(out == 0)
-        assert 0.45 < zero_fraction < 0.55
-
-    def test_inverted_scaling_preserves_expectation(self):
-        dropout = Dropout(0.3, rng=np.random.default_rng(1))
-        x = np.ones((500, 500))
-        out = dropout.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_backward_masks_gradient(self):
-        dropout = Dropout(0.5, rng=np.random.default_rng(2))
-        x = np.ones((10, 10))
-        out = dropout.forward(x, training=True)
-        grad = dropout.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad == 0, out == 0)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
-
-
 class TestFlattenAndSequential:
-    def test_flatten_roundtrip(self):
-        layer = Flatten()
-        x = np.arange(24, dtype=float).reshape(2, 3, 4)
-        out = layer.forward(x, training=True)
-        assert out.shape == (2, 12)
-        assert layer.backward(out).shape == (2, 3, 4)
-
     def test_sequential_state_dict_roundtrip(self):
         rng = np.random.default_rng(0)
         model = Sequential([Linear(6, 4, rng=rng), ReLU(), Linear(4, 3, rng=rng)])
@@ -228,7 +178,7 @@ class TestFlattenAndSequential:
 
     def test_full_network_gradient_check(self):
         rng = np.random.default_rng(11)
-        model = Sequential([Linear(4, 6, rng=rng), Tanh(), Linear(6, 3, rng=rng)])
+        model = Sequential([Linear(4, 6, rng=rng), ReLU(), Linear(6, 3, rng=rng)])
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
         loss_fn = CrossEntropyLoss()
@@ -247,7 +197,7 @@ class TestFlattenAndSequential:
     def test_zero_grad_resets(self):
         model = Sequential([Linear(3, 2)])
         x = np.ones((2, 3))
-        loss_fn = MSELoss()
+        loss_fn = SquaredError()
         loss_fn.forward(model.forward(x, training=True), np.zeros((2, 2)))
         model.backward(loss_fn.backward())
         model.zero_grad()
@@ -296,14 +246,3 @@ class TestLosses:
     def test_cross_entropy_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             CrossEntropyLoss().backward()
-
-    def test_mse_value_and_gradient(self):
-        loss_fn = MSELoss()
-        predictions = np.array([[1.0, 2.0]])
-        targets = np.array([[0.0, 0.0]])
-        assert loss_fn.forward(predictions, targets) == pytest.approx(2.5)
-        np.testing.assert_allclose(loss_fn.backward(), [[1.0, 2.0]])
-
-    def test_mse_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros((2, 2)), np.zeros((2, 3)))

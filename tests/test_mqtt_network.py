@@ -1,11 +1,11 @@
-"""Tests for link profiles, the network model and traffic accounting."""
+"""Tests for link profiles and the network model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.mqtt.network import LinkProfile, NetworkModel, TrafficLog, TrafficRecord, PACKET_OVERHEAD_BYTES
+from repro.mqtt.network import LinkProfile, NetworkModel, PACKET_OVERHEAD_BYTES
 
 
 class TestLinkProfile:
@@ -63,68 +63,3 @@ class TestNetworkModel:
     def test_no_loss_never_drops(self):
         model = NetworkModel()
         assert not any(model.should_drop("c", qos=0) for _ in range(100))
-
-
-class TestTrafficLog:
-    @staticmethod
-    def _record(receiver="r", sender="s", nbytes=100, topic="t"):
-        return TrafficRecord(
-            topic=topic,
-            sender_id=sender,
-            receiver_id=receiver,
-            payload_bytes=nbytes,
-            qos=1,
-            transfer_time_s=0.01,
-            handshake_packets=1,
-            timestamp=0.0,
-            broker="b",
-        )
-
-    def test_aggregates(self):
-        log = TrafficLog()
-        log.add(self._record(receiver="r1", nbytes=100))
-        log.add(self._record(receiver="r2", nbytes=200))
-        log.add(self._record(receiver="r1", nbytes=50, topic="u"))
-        assert log.total_messages == 3
-        assert log.total_payload_bytes == 350
-        assert log.bytes_received_by("r1") == 150
-        assert log.bytes_received_by("unknown") == 0
-        assert log.bytes_sent_by("s") == 350
-        assert log.messages_on_topic("t") == 2
-
-    def test_aggregates_stay_exact_past_the_initial_id_capacity(self):
-        # 300 fresh receivers + 300 fresh topics intern well past the 256
-        # preallocated id slots, so the counter columns grow mid-``add``.
-        log = TrafficLog()
-        for i in range(300):
-            log.add(self._record(receiver=f"r{i}", nbytes=i + 1, topic=f"t{i}"))
-        assert log.total_messages == 300
-        assert log.total_payload_bytes == 300 * 301 // 2
-        assert log.bytes_sent_by("s") == 300 * 301 // 2
-        for i in range(300):
-            assert log.bytes_received_by(f"r{i}") == i + 1
-            assert log.messages_on_topic(f"t{i}") == 1
-
-    def test_total_bytes_includes_protocol_overhead(self):
-        record = self._record(nbytes=100)
-        assert record.total_bytes == 100 + PACKET_OVERHEAD_BYTES * 2
-
-    def test_bounded_raw_records(self):
-        log = TrafficLog(max_records=5)
-        for _ in range(10):
-            log.add(self._record())
-        assert len(log.records) == 5
-        assert log.total_messages == 10
-
-    def test_clear(self):
-        log = TrafficLog()
-        log.add(self._record())
-        log.clear()
-        assert log.total_messages == 0
-        assert log.total_payload_bytes == 0
-        assert len(log.records) == 0
-
-    def test_iteration(self):
-        log = TrafficLog()
-        log.add(self._record())
-        assert len(list(log)) == 1

@@ -106,7 +106,7 @@ class TestTopicTrie:
         trie: TopicTrie[str] = TopicTrie()
         assert trie.insert("a/b", "v")
         assert not trie.insert("a/b", "v")
-        assert len(trie) == 1
+        assert trie.match("a/b") == {"v"}
 
     def test_remove(self):
         trie: TopicTrie[str] = TopicTrie()
@@ -114,27 +114,13 @@ class TestTopicTrie:
         assert trie.remove("a/b", "v")
         assert not trie.remove("a/b", "v")
         assert trie.match("a/b") == set()
-        assert len(trie) == 0
+        assert trie._root.is_empty()
 
     def test_remove_prunes_empty_branches(self):
         trie: TopicTrie[str] = TopicTrie()
         trie.insert("a/b/c/d", "v")
         trie.remove("a/b/c/d", "v")
-        assert list(trie.filters()) == []
-
-    def test_remove_value_everywhere(self):
-        trie: TopicTrie[str] = TopicTrie()
-        trie.insert("a/b", "v")
-        trie.insert("c/#", "v")
-        trie.insert("c/#", "w")
-        assert trie.remove_value("v") == 2
-        assert trie.match("c/d") == {"w"}
-
-    def test_filters_for_value(self):
-        trie: TopicTrie[str] = TopicTrie()
-        trie.insert("a/b", "v")
-        trie.insert("c/+", "v")
-        assert sorted(trie.filters_for_value("v")) == ["a/b", "c/+"]
+        assert trie._root.is_empty()
 
     def test_hash_at_root_matches_single_level(self):
         trie: TopicTrie[str] = TopicTrie()
@@ -148,13 +134,6 @@ class TestTopicTrie:
         trie.insert("+/x", "plus")
         trie.insert("$SYS/#", "sys")
         assert trie.match("$SYS/x") == {"sys"}
-
-    def test_clear(self):
-        trie: TopicTrie[str] = TopicTrie()
-        trie.insert("a", 1)
-        trie.clear()
-        assert len(trie) == 0
-        assert trie.match("a") == set()
 
     def test_invalid_filter_rejected_on_insert(self):
         trie: TopicTrie[str] = TopicTrie()
@@ -178,5 +157,4 @@ class TestTopicTrie:
             trie.insert(topic, "v")
         for topic in topics:
             assert trie.remove(topic, "v")
-        assert len(trie) == 0
-        assert list(trie.filters()) == []
+        assert trie._root.is_empty()

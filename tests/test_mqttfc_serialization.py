@@ -12,8 +12,7 @@ from hypothesis.extra import numpy as hnp
 from repro.mqttfc.serialization import (
     SerializationError,
     decode_payload,
-    encode_payload,
-    payload_size,
+    encode_payload_frame,
 )
 
 
@@ -39,31 +38,31 @@ def _assert_equal(original, decoded):
 class TestRoundTrip:
     def test_scalars_and_strings(self):
         payload = {"a": 1, "b": 2.5, "c": "text", "d": None, "e": True}
-        _assert_equal(payload, decode_payload(encode_payload(payload)))
+        _assert_equal(payload, decode_payload(encode_payload_frame(payload).tobytes()))
 
     def test_nested_containers(self):
         payload = {"outer": [{"inner": [1, 2, 3]}, "x"], "t": (1, 2)}
-        decoded = decode_payload(encode_payload(payload))
+        decoded = decode_payload(encode_payload_frame(payload).tobytes())
         assert decoded["outer"][0]["inner"] == [1, 2, 3]
         assert decoded["t"] == [1, 2]  # tuples decode as lists (JSON semantics)
 
     def test_bytes_leaf(self):
         payload = {"blob": b"\x00\x01\xff"}
-        assert decode_payload(encode_payload(payload))["blob"] == b"\x00\x01\xff"
+        assert decode_payload(encode_payload_frame(payload).tobytes())["blob"] == b"\x00\x01\xff"
 
     def test_ndarray_dtypes_preserved(self):
         for dtype in (np.float32, np.float64, np.int32, np.int64, np.uint8):
             array = np.arange(12, dtype=dtype).reshape(3, 4)
-            decoded = decode_payload(encode_payload({"w": array}))["w"]
+            decoded = decode_payload(encode_payload_frame({"w": array}).tobytes())["w"]
             assert decoded.dtype == dtype
             np.testing.assert_array_equal(decoded, array)
 
     def test_empty_array(self):
-        decoded = decode_payload(encode_payload(np.zeros((0, 3))))
+        decoded = decode_payload(encode_payload_frame(np.zeros((0, 3))).tobytes())
         assert decoded.shape == (0, 3)
 
     def test_numpy_scalars_become_python_scalars(self):
-        decoded = decode_payload(encode_payload({"a": np.int64(3), "b": np.float32(1.5), "c": np.bool_(True)}))
+        decoded = decode_payload(encode_payload_frame({"a": np.int64(3), "b": np.float32(1.5), "c": np.bool_(True)}).tobytes())
         assert decoded == {"a": 3, "b": 1.5, "c": True}
 
     def test_state_dict_like_payload(self):
@@ -71,22 +70,18 @@ class TestRoundTrip:
             "0.weight": np.random.default_rng(0).normal(size=(64, 32)).astype(np.float32),
             "0.bias": np.zeros(32, dtype=np.float32),
         }
-        decoded = decode_payload(encode_payload({"state": state, "round": 3}))
+        decoded = decode_payload(encode_payload_frame({"state": state, "round": 3}).tobytes())
         _assert_equal(state, decoded["state"])
         assert decoded["round"] == 3
 
     def test_zero_copy_views(self):
         array = np.arange(10, dtype=np.float64)
-        encoded = encode_payload(array)
+        encoded = encode_payload_frame(array).tobytes()
         view = decode_payload(encoded, copy_arrays=False)
         assert not view.flags.writeable  # frombuffer on bytes is read-only
         copy = decode_payload(encoded, copy_arrays=True)
         copy[0] = 99  # owned memory is writable
         assert copy[0] == 99
-
-    def test_payload_size_matches_encoding(self):
-        payload = {"x": np.zeros(100)}
-        assert payload_size(payload) == len(encode_payload(payload))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -104,43 +99,43 @@ class TestRoundTrip:
         )
     )
     def test_roundtrip_property(self, payload):
-        _assert_equal(payload, decode_payload(encode_payload(payload)))
+        _assert_equal(payload, decode_payload(encode_payload_frame(payload).tobytes()))
 
 
 class TestErrors:
     def test_unsupported_type_rejected(self):
         with pytest.raises(SerializationError):
-            encode_payload({"bad": object()})
+            encode_payload_frame({"bad": object()}).tobytes()
 
     def test_non_string_keys_rejected(self):
         with pytest.raises(SerializationError):
-            encode_payload({1: "x"})
+            encode_payload_frame({1: "x"}).tobytes()
 
     def test_reserved_keys_rejected(self):
         with pytest.raises(SerializationError):
-            encode_payload({"__nd__": 1})
+            encode_payload_frame({"__nd__": 1}).tobytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(SerializationError):
             decode_payload(b"NOPE" + b"\x00" * 20)
 
     def test_truncated_header_rejected(self):
-        encoded = encode_payload({"a": 1})
+        encoded = encode_payload_frame({"a": 1}).tobytes()
         with pytest.raises(SerializationError):
             decode_payload(encoded[:6])
 
     def test_truncated_buffer_rejected(self):
-        encoded = encode_payload({"w": np.zeros(100)})
+        encoded = encode_payload_frame({"w": np.zeros(100)}).tobytes()
         with pytest.raises(SerializationError):
             decode_payload(encoded[:-10])
 
     def test_trailing_garbage_rejected(self):
-        encoded = encode_payload({"a": 1})
+        encoded = encode_payload_frame({"a": 1}).tobytes()
         with pytest.raises(SerializationError):
             decode_payload(encoded + b"extra")
 
     def test_corrupt_json_header_rejected(self):
-        encoded = bytearray(encode_payload({"a": 1}))
+        encoded = bytearray(encode_payload_frame({"a": 1}).tobytes())
         encoded[10] = 0xFF
         with pytest.raises(SerializationError):
             decode_payload(bytes(encoded))
@@ -183,7 +178,7 @@ class TestMarkerFreeHeaders:
 
     def test_control_message_equals_the_sent_structure(self):
         message = {"kind": "request", "args": [{"n": 1, "xs": [1.5, None, True]}], "kwargs": {}}
-        assert decode_payload(encode_payload(message)) == message
+        assert decode_payload(encode_payload_frame(message).tobytes()) == message
 
     def test_escaped_marker_key_is_still_decoded(self):
         # ``json.dumps`` never escapes ``_``; a hostile or foreign encoder may.
@@ -192,7 +187,7 @@ class TestMarkerFreeHeaders:
         assert decode_payload(frame) == b"hi"
 
     def test_each_decode_owns_its_tree(self):
-        encoded = encode_payload({"roster": ["a"]})
+        encoded = encode_payload_frame({"roster": ["a"]}).tobytes()
         first, second = decode_payload(encoded), decode_payload(encoded)
         first["roster"].append("b")
         assert second == {"roster": ["a"]}
@@ -202,8 +197,6 @@ class TestPayloadFrame:
     """The PR-5 zero-copy fast path: segmented frames, aliasing both ways."""
 
     def test_segments_alias_source_arrays(self):
-        from repro.mqttfc.serialization import encode_payload_frame
-
         state = {
             "w": np.arange(64, dtype=np.float32).reshape(8, 8),
             "b": np.linspace(0.0, 1.0, 16),
@@ -216,25 +209,15 @@ class TestPayloadFrame:
             assert isinstance(segment, memoryview)
             assert np.shares_memory(np.frombuffer(segment, dtype=np.uint8), array)
 
-    def test_frame_tobytes_matches_encode_payload(self):
-        from repro.mqttfc.serialization import encode_payload_frame
-
-        payload = {"state": {"w": np.ones((3, 3), dtype=np.float32)}, "x": [1, "two", None]}
-        assert encode_payload_frame(payload).tobytes() == encode_payload(payload)
-
     def test_payload_size_without_materialization(self):
         payload = {"state": {"w": np.zeros((256, 256))}}
-        assert payload_size(payload) == len(encode_payload(payload))
+        assert encode_payload_frame(payload).nbytes == len(encode_payload_frame(payload).tobytes())
 
     def test_decode_accepts_frame(self):
-        from repro.mqttfc.serialization import encode_payload_frame
-
         payload = {"w": np.arange(5.0)}
         _assert_equal(payload, decode_payload(encode_payload_frame(payload)))
 
     def test_noncontiguous_leaves_are_compacted_not_broken(self):
-        from repro.mqttfc.serialization import encode_payload_frame
-
         base = np.arange(20, dtype=np.float64)
         strided = base[::2]
         frame = encode_payload_frame({"s": strided})
@@ -259,7 +242,7 @@ class TestPayloadFrame:
     )
     def test_round_trip_leaves_are_views_into_the_frame(self, state):
         """Property: decoded ndarray leaves *alias* the frame buffer — no hidden copies."""
-        raw = encode_payload({"state": state})
+        raw = encode_payload_frame({"state": state}).tobytes()
         raw_bytes = np.frombuffer(raw, dtype=np.uint8)
         decoded = decode_payload(raw, copy_arrays=False)["state"]
         assert set(decoded) == set(state)

@@ -80,7 +80,7 @@ class TestCoordinatorShapedInterleavings:
             last_round = lifecycle.round_index
             last_epoch = lifecycle.epoch
             for _ in range(STEPS_PER_RUN):
-                if not lifecycle.is_active:
+                if lifecycle.phase is RoundPhase.COMPLETE:
                     break
                 op = rng.choice(_enabled_ops(lifecycle))
                 if op == "admit":
@@ -120,7 +120,7 @@ class TestCoordinatorShapedInterleavings:
                 assert lifecycle.round_index >= last_round, "round rewound"
                 assert lifecycle.epoch >= last_epoch, "epoch rewound"
                 assert len(set(lifecycle.roster)) == len(lifecycle.roster), "roster duplicated"
-                if lifecycle.is_active:
+                if lifecycle.phase is not RoundPhase.COMPLETE:
                     assert _enabled_ops(lifecycle), (
                         f"stuck: no legal continuation from {lifecycle.phase}"
                     )

@@ -354,9 +354,9 @@ class TestScenarioRunner:
         result = ScenarioRunner().run(golden["scenario"])
         assert result.signature == golden["signature"]
 
-    def test_64_client_fleet_outgrows_the_traffic_log_id_table(self):
-        # 64 clients intern more than the 256 preallocated traffic-log ids;
-        # the scalar ``TrafficLog.add`` path used to die there.
+    def test_64_client_fleet_runs_every_round_deterministically(self):
+        # Past the 58-client size that once crashed the run: every client
+        # takes part in every round, and a rerun reproduces the signature.
         spec = _tiny_spec(
             fleet=FleetSpec(num_clients=64),
             training=TrainingSpec(
@@ -657,7 +657,7 @@ class TestMidRoundAdmission:
         assert experiment.midround_admissions == 5
         # Every joiner uploaded into round 0 and the weighted global reflects
         # all ten contributions (10 clients x their sample counts).
-        uploads = {c.client_id: c.participation(session_id).uploads_sent
+        uploads = {c.client_id: c.participation(session_id).rounds.uploads_sent
                    for c in experiment.clients}
         assert all(count >= 1 for count in uploads.values())
         record = experiment.parameter_server.record(session_id)

@@ -5,7 +5,7 @@ state in struct-of-arrays columns and serves broadcast fan-outs through batch
 heap entries — a long way from the obvious object-per-delivery design.  This
 test pins the semantics against exactly that obvious design: a ~60-line
 reference scheduler holding one Python object per delivery, sharing nothing
-with the production code, run through randomized push / cancel / requeue
+with the production code, run through randomized push / cancel
 interleavings.  Both must agree on
 
 * the exact delivery order ``(deliver_at, sequence, enqueue)``,
@@ -15,7 +15,7 @@ interleavings.  Both must agree on
 
 A second test pins the vectorized broadcast fan-out against the scalar
 routing path on a real broker: same fleet, same publishes, identical trace
-digests and traffic accounting whether or not the vector path engages.
+digests and broker delivery counters whether or not the vector path engages.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def test_clamp_chain_partially_released():
 
 
 def _fanout_digest(vector_enabled: bool):
-    """Run a 64-subscriber broadcast fleet; return (digest, traffic, inbox)."""
+    """Run a 64-subscriber broadcast fleet; return (digest, broker accounting, received)."""
     clock = SimulationClock()
     network = NetworkModel(seed=11)
     network.set_link("pub", LinkProfile(latency_s=0.01, bandwidth_bps=8_000_000.0))
@@ -294,13 +294,7 @@ def _fanout_digest(vector_enabled: bool):
     finally:
         broker_mod._VECTOR_MIN_FANOUT = original
 
-    traffic = broker.traffic
-    accounting = (
-        len(traffic.records),
-        traffic.total_transfer_time_s,
-        traffic.total_payload_bytes,
-        traffic.total_messages,
-    )
+    accounting = (broker.stats.messages_delivered, broker.stats.bytes_delivered)
     return scheduler.trace_digest, accounting, received
 
 

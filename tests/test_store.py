@@ -399,7 +399,7 @@ class TestGridWithStore:
         warm = runner.run_grid(_small_sweep(), workers=1)
         assert warm.executed_cells == 0 and warm.cached_cells == 4
         assert len(counted_cells) == 4, "warm grid must not invoke any worker"
-        assert warm.signatures() == cold.signatures()
+        assert [cell.signature for cell in warm.cells] == [cell.signature for cell in cold.cells]
         assert warm.summary_rows() == cold.summary_rows()
         assert warm.comparison_rows() == cold.comparison_rows()
 
@@ -420,7 +420,7 @@ class TestGridWithStore:
         cold = runner.run_grid(_small_sweep(), workers=2)
         warm = runner.run_grid(_small_sweep(), workers=4)
         assert warm.cached_cells == 4
-        assert warm.signatures() == cold.signatures()
+        assert [cell.signature for cell in warm.cells] == [cell.signature for cell in cold.cells]
         runner.close()
 
     def test_resume_after_simulated_mid_grid_kill(self, store, monkeypatch):
@@ -448,13 +448,13 @@ class TestGridWithStore:
 
         # The resumed grid is byte-identical to a never-interrupted one.
         independent = ScenarioRunner().run_grid(_small_sweep(), workers=1)
-        assert resumed.signatures() == independent.signatures()
+        assert [cell.signature for cell in resumed.cells] == [cell.signature for cell in independent.cells]
 
     def test_grid_record_links_resolvable_runs(self, store):
         runner = ScenarioRunner(store=store)
         result = runner.run_grid(_small_sweep(), workers=1)
         grid = store.resolve_grid("store-sweep")
-        assert [cell["signature"] for cell in grid.cells] == result.signatures()
+        assert [cell["signature"] for cell in grid.cells] == [cell.signature for cell in result.cells]
         for cell in grid.cells:
             assert store.get_run(cell["spec_hash"], cell["seed"]) is not None
 
@@ -481,7 +481,7 @@ class TestDeadlineTierMixGolden:
             produced = "".join(f"{c.index:03d}  {c.signature}\n" for c in warm.cells)
             with open(golden_path, "r", encoding="utf-8") as handle:
                 assert handle.read() == produced
-            assert cold.signatures() == warm.signatures()
+            assert [cell.signature for cell in cold.cells] == [cell.signature for cell in warm.cells]
         finally:
             runner.close()
 
@@ -621,6 +621,18 @@ class TestServeApi:
             self._get(f"{base}/api/nope")
         assert excinfo.value.code == 404
         assert json.loads(excinfo.value.read())["error"].startswith("no such endpoint")
+
+    @pytest.mark.parametrize("endpoint", ["runs", "metrics"])
+    def test_non_integer_seed_is_a_400_and_a_missing_run_a_404(self, served, store, endpoint):
+        base, _grid = served
+        run = store.runs()[0]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._get(f"{base}/api/{endpoint}/{run.spec_hash}/x")
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == "seed must be an integer"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._get(f"{base}/api/{endpoint}/{run.spec_hash}/{run.seed + 1000}")
+        assert excinfo.value.code == 404
 
     def test_dashboard_serves_html(self, served):
         base, _grid = served

@@ -313,7 +313,7 @@ class TestRunGrid:
         runner = ScenarioRunner()
         serial = runner.run_grid(small_sweep, workers=1)
         parallel = runner.run_grid(small_sweep, workers=4)
-        assert serial.signatures() == parallel.signatures()
+        assert [cell.signature for cell in serial.cells] == [cell.signature for cell in parallel.cells]
         assert serial.summary_rows() == parallel.summary_rows()
         assert serial.comparison_rows() == parallel.comparison_rows()
         assert rows_to_csv(serial.summary_rows()) == rows_to_csv(parallel.summary_rows())
@@ -424,7 +424,7 @@ class TestRunGrid:
             assert handle.read() == produced
         # The severity axis must actually bite: harsher blackouts change the
         # delivery trace of the cells that share a seed.
-        signatures = grid.signatures()
+        signatures = [cell.signature for cell in grid.cells]
         assert signatures[0] != signatures[2]
         assert signatures[1] != signatures[3]
 

@@ -2,30 +2,15 @@
 
 from __future__ import annotations
 
-import re
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bytesize import human_bytes, parse_bytes
-from repro.utils.identifiers import (
-    is_valid_identifier,
-    make_client_id,
-    make_correlation_id,
-    make_session_id,
-    validate_identifier,
-)
 from repro.utils.rng import SeedSequenceFactory, derive_seed, rng_from_seed
-from repro.utils.timing import Stopwatch, format_duration
-from repro.utils.validation import (
-    require,
-    require_in_range,
-    require_one_of,
-    require_positive,
-    require_type,
-)
+from repro.utils.timing import Stopwatch
+from repro.utils.validation import require_in_range, require_positive, validate_identifier
 
 
 # ---------------------------------------------------------------------- rng
@@ -62,87 +47,8 @@ class TestSeedSequenceFactory:
         b = factory.generator("clients").random(5)
         assert not np.array_equal(a, b)
 
-    def test_spawn_is_stable(self):
-        child_a = SeedSequenceFactory(3).spawn("x").seed("y")
-        child_b = SeedSequenceFactory(3).spawn("x").seed("y")
-        assert child_a == child_b
-
-    def test_shuffled_deterministic(self):
-        items = list(range(20))
-        a = SeedSequenceFactory(5).shuffled(items, "order")
-        b = SeedSequenceFactory(5).shuffled(items, "order")
-        assert a == b
-        assert sorted(a) == items
-
     def test_rng_from_seed_matches_factory(self):
         assert rng_from_seed(9, "z").random() == SeedSequenceFactory(9).generator("z").random()
-
-
-# ----------------------------------------------------------------- bytesize
-
-class TestHumanBytes:
-    def test_bytes(self):
-        assert human_bytes(512) == "512.00 B"
-
-    def test_kib(self):
-        assert human_bytes(2048) == "2.00 KiB"
-
-    def test_mib(self):
-        assert human_bytes(5 * 1024**2) == "5.00 MiB"
-
-    def test_gib_precision(self):
-        assert human_bytes(1.5 * 1024**3, precision=1) == "1.5 GiB"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            human_bytes(-1)
-
-
-class TestParseBytes:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("512", 512),
-            ("4 KiB", 4096),
-            ("4KB", 4000),
-            ("1 MiB", 1024**2),
-            ("2M", 2 * 1024**2),
-            ("1.5 GiB", int(1.5 * 1024**3)),
-            (1024, 1024),
-            (10.0, 10),
-        ],
-    )
-    def test_examples(self, text, expected):
-        assert parse_bytes(text) == expected
-
-    def test_invalid_unit(self):
-        with pytest.raises(ValueError):
-            parse_bytes("10 parsecs")
-
-    def test_negative_number_rejected(self):
-        with pytest.raises(ValueError):
-            parse_bytes(-5)
-
-    @given(st.integers(min_value=0, max_value=10**12))
-    def test_roundtrip_through_plain_numbers(self, value):
-        assert parse_bytes(str(value)) == value
-
-
-# ------------------------------------------------------------------- timing
-
-class TestFormatDuration:
-    def test_zero(self):
-        assert format_duration(0) == "0:00:00.000"
-
-    def test_paper_axis_value(self):
-        assert format_duration(85.25) == "0:01:25.250"
-
-    def test_hours(self):
-        assert format_duration(3661.5) == "1:01:01.500"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_duration(-1)
 
 
 class TestStopwatch:
@@ -160,46 +66,12 @@ class TestStopwatch:
         with Stopwatch() as watch:
             time.sleep(0.005)
         assert watch.elapsed >= 0.004
-        assert not watch.running
-
-    def test_reset(self):
-        watch = Stopwatch().start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_running_flag(self):
-        watch = Stopwatch()
-        assert not watch.running
-        watch.start()
-        assert watch.running
-        watch.stop()
-        assert not watch.running
-
 
 # -------------------------------------------------------------- identifiers
 
 class TestIdentifiers:
-    def test_make_client_id_unique(self):
-        ids = {make_client_id() for _ in range(100)}
-        assert len(ids) == 100
-
-    def test_make_session_id_prefix(self):
-        assert make_session_id("fl").startswith("fl_")
-
-    def test_make_correlation_id_valid(self):
-        assert is_valid_identifier(make_correlation_id())
-
-    def test_identifiers_are_topic_safe(self):
-        for factory in (make_client_id, make_session_id, make_correlation_id):
-            identifier = factory()
-            assert "/" not in identifier
-            assert "+" not in identifier
-            assert "#" not in identifier
-
     @pytest.mark.parametrize("bad", ["", "has space", "has/slash", "has+plus", "has#hash", "ünicode"])
     def test_invalid_identifiers_rejected(self, bad):
-        assert not is_valid_identifier(bad)
         with pytest.raises(ValueError):
             validate_identifier(bad)
 
@@ -211,13 +83,6 @@ class TestIdentifiers:
 # --------------------------------------------------------------- validation
 
 class TestValidation:
-    def test_require_passes(self):
-        require(True, "never raised")
-
-    def test_require_raises(self):
-        with pytest.raises(ValueError, match="boom"):
-            require(False, "boom")
-
     def test_require_positive_strict(self):
         assert require_positive(1.5, "x") == 1.5
         with pytest.raises(ValueError):
@@ -236,13 +101,3 @@ class TestValidation:
     def test_require_in_range_exclusive(self):
         with pytest.raises(ValueError):
             require_in_range(0.0, "x", 0.0, 1.0, inclusive=False)
-
-    def test_require_type(self):
-        assert require_type("a", "x", str) == "a"
-        with pytest.raises(TypeError):
-            require_type("a", "x", int, float)
-
-    def test_require_one_of(self):
-        assert require_one_of("b", "x", ["a", "b"]) == "b"
-        with pytest.raises(ValueError):
-            require_one_of("z", "x", ["a", "b"])

@@ -105,7 +105,7 @@ def test_delta_escapes_stay_rare_against_float32_references(spec):
     bytes, so the bound is on the rate, not on the old count."""
     result = ScenarioRunner().run(spec)
     gauges = result.metrics["gauges"]
-    state = result.experiment.parameter_server.global_state(result.experiment.config.session_id)
+    state = result.experiment.parameter_server.record(result.experiment.config.session_id).state
     elements = gauges["codec_updates_encoded"] * sum(leaf.size for leaf in state.values())
     assert elements == 170_980
     assert 0 < gauges["codec_escape_values"] < 0.005 * elements

@@ -352,15 +352,15 @@ def bench_obs_overhead(rounds: int = 3,
 
 def bench_codec(payload_mb: int) -> Dict[str, float]:
     """Encode/decode throughput of an ~``payload_mb`` MB model state dict."""
-    from repro.mqttfc.serialization import decode_payload, encode_payload, payload_size
+    from repro.mqttfc.serialization import decode_payload, encode_payload_frame
 
     payload = {"state": build_codec_state(payload_mb), "round_index": 0, "sender": "client_000"}
-    size_mb = payload_size(payload) / (1024 * 1024)
+    size_mb = encode_payload_frame(payload).nbytes / (1024 * 1024)
 
     encode_s = min(
-        _timed(lambda: encode_payload(payload)) for _ in range(3)
+        _timed(lambda: encode_payload_frame(payload).tobytes()) for _ in range(3)
     )
-    raw = encode_payload(payload)
+    raw = encode_payload_frame(payload).tobytes()
     decode_s = min(
         _timed(lambda: decode_payload(raw, copy_arrays=False)) for _ in range(3)
     )
