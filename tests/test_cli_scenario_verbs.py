@@ -1,0 +1,160 @@
+"""The maintenance verbs of ``python -m repro scenario``, called in-process.
+
+``store ls|show|gc``, ``schema [--check]`` and ``trace`` read what a run
+left behind and report on it; these tests pin their output and exit codes
+against a small store holding one ``baseline`` run and one recorded grid.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+
+import pytest
+
+from repro.cli import main
+from repro.scenarios import ResultsStore, ScenarioRunner, get_scenario, spec_hash
+from repro.scenarios.schema import schema_markdown
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA_DOC = os.path.join(REPO_ROOT, "docs", "scenario-spec.md")
+
+
+@pytest.fixture(scope="module")
+def template(tmp_path_factory):
+    """A store with the baseline run and a one-cell grid, plus its trace file."""
+    root = tmp_path_factory.mktemp("verbs")
+    path = str(root / "template.sqlite")
+    with ScenarioRunner(store=path) as runner:
+        result = runner.run("baseline", trace_dir=root / "trace")
+    store = ResultsStore(path)
+    key = spec_hash(get_scenario("baseline"))
+    store.record_grid("f" * 64, "one-cell", ["seed"], [
+        {"index": 0, "coordinates": {"seed": 42}, "spec_hash": key, "seed": 42,
+         "signature": result.signature},
+    ])
+    store.close()
+    return {"path": path, "key": key, "signature": result.signature,
+            "trace": str(root / "trace" / "baseline_42.trace.json")}
+
+
+@pytest.fixture
+def store_path(template, tmp_path):
+    """A private copy of the template store (``gc`` mutates it)."""
+    path = str(tmp_path / "results.sqlite")
+    shutil.copyfile(template["path"], path)
+    return path
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestStoreVerbs:
+    def test_ls_lists_runs_and_grids(self, capsys, store_path, template):
+        code, out, _err = _run(capsys, ["scenario", "store", "ls", "--store", store_path])
+        assert code == 0
+        assert "1 run(s), 1 grid(s)" in out
+        assert template["key"][:12] in out and template["signature"][:12] in out
+        assert "baseline" in out and "one-cell" in out
+
+    def test_ls_filters_runs_by_scenario(self, capsys, store_path):
+        code, out, _err = _run(
+            capsys, ["scenario", "store", "ls", "--scenario", "heavy-churn", "--store", store_path])
+        assert code == 0
+        assert "(no stored runs)" in out
+
+    def test_show_run_prints_spec_and_payload(self, capsys, store_path, template):
+        code, out, _err = _run(capsys, [
+            "scenario", "store", "show", template["key"][:8], "--seed", "42", "--store", store_path])
+        assert code == 0
+        document = json.loads(out)
+        assert document["spec_hash"] == template["key"]
+        assert document["signature"] == template["signature"]
+        assert document["spec"] == get_scenario("baseline").as_dict()
+        assert document["payload"]["rounds_completed"] == 3
+
+    def test_show_grid_by_name(self, capsys, store_path, template):
+        code, out, _err = _run(capsys, ["scenario", "store", "show", "one-cell", "--store", store_path])
+        assert code == 0
+        document = json.loads(out)
+        assert document["sweep_hash"] == "f" * 64
+        assert document["axes"] == ["seed"]
+        assert [cell["spec_hash"] for cell in document["cells"]] == [template["key"]]
+
+    def test_show_unknown_prefix_exits_2(self, capsys, store_path):
+        code, out, err = _run(capsys, ["scenario", "store", "show", "nothing", "--store", store_path])
+        assert code == 2 and out == ""
+        assert "nothing" in err
+
+    def test_gc_without_a_selector_exits_2(self, capsys, store_path):
+        code, _out, err = _run(capsys, ["scenario", "store", "gc", "--store", store_path])
+        assert code == 2 and err
+
+    def test_gc_by_scenario_drops_the_run_and_its_grid(self, capsys, store_path):
+        code, out, _err = _run(
+            capsys, ["scenario", "store", "gc", "--scenario", "baseline", "--store", store_path])
+        assert code == 0
+        assert out.strip() == "gc: removed 1 run(s), 1 grid(s)"
+        _code, out, _err = _run(capsys, ["scenario", "store", "ls", "--store", store_path])
+        assert "(no stored runs)" in out and "(no recorded grids)" in out
+
+    def test_gc_of_another_scenario_keeps_everything(self, capsys, store_path):
+        code, out, _err = _run(
+            capsys, ["scenario", "store", "gc", "--scenario", "heavy-churn", "--store", store_path])
+        assert code == 0
+        assert out.strip() == "gc: removed 0 run(s), 0 grid(s)"
+
+    def test_gc_all_empties_the_store(self, capsys, store_path):
+        code, out, _err = _run(capsys, ["scenario", "store", "gc", "--all", "--store", store_path])
+        assert code == 0
+        assert out.strip() == "gc: removed 1 run(s), 1 grid(s)"
+
+    @pytest.mark.parametrize("verb", [["ls"], ["show", "x"], ["gc", "--all"]])
+    def test_store_verbs_refuse_no_store(self, capsys, verb):
+        code, _out, err = _run(capsys, ["scenario", "store", *verb, "--no-store"])
+        assert code == 2
+        assert "needs the results store" in err
+
+
+class TestSchemaVerb:
+    def test_prints_the_generated_reference(self, capsys):
+        code, out, _err = _run(capsys, ["scenario", "schema"])
+        assert code == 0
+        assert out == schema_markdown()
+
+    def test_check_accepts_the_committed_doc(self, capsys):
+        code, out, _err = _run(capsys, ["scenario", "schema", "--check", SCHEMA_DOC])
+        assert code == 0
+        assert "is in sync" in out
+
+    def test_check_rejects_a_stale_doc(self, capsys, tmp_path):
+        stale = tmp_path / "scenario-spec.md"
+        stale.write_text(schema_markdown() + "\nstale line\n", encoding="utf-8")
+        code, _out, err = _run(capsys, ["scenario", "schema", "--check", str(stale)])
+        assert code == 1
+        assert "out of date" in err
+
+
+class TestTraceVerb:
+    def test_summarizes_a_trace_with_its_required_spans(self, capsys, template):
+        code, out, _err = _run(capsys, [
+            "scenario", "trace", template["trace"],
+            "--require-span", "collecting", "--require-span", "aggregating"])
+        assert code == 0
+        assert out.startswith(f"Trace: {template['trace']} — ")
+        assert "collecting" in out
+
+    def test_missing_required_span_exits_1(self, capsys, template):
+        code, _out, err = _run(
+            capsys, ["scenario", "trace", template["trace"], "--require-span", "no-such-span"])
+        assert code == 1
+        assert "missing required span(s): no-such-span" in err
+
+    def test_unreadable_trace_exits_2(self, capsys, tmp_path):
+        code, _out, err = _run(capsys, ["scenario", "trace", str(tmp_path / "absent.trace.json")])
+        assert code == 2
+        assert "cannot read trace" in err

@@ -64,6 +64,13 @@ class TestFig7:
         assert {"round", "offline_accuracy_pct", "sdfl_accuracy_pct"} <= set(rows[0])
         assert rows[-1]["offline_accuracy_pct"] <= 100.0
 
+    def test_final_gap_is_the_last_round_difference(self, result):
+        assert result.final_gap == result.offline_accuracy[-1] - result.sdfl_accuracy[-1]
+        rows = result.as_rows()
+        assert result.final_gap * 100.0 == pytest.approx(
+            rows[-1]["offline_accuracy_pct"] - rows[-1]["sdfl_accuracy_pct"]
+        )
+
     def test_fast_flag_shrinks_configuration(self):
         effective = Fig7Config(fast=True).effective()
         assert effective.fl_rounds <= 3

@@ -286,6 +286,25 @@ class TestRunnerFlightRecorder:
         assert traced.signature == plain.signature
         assert traced.summary_row() == plain.summary_row()
 
+    def test_anomaly_dumps_the_flight_recorder_beside_the_trace(self, tmp_path):
+        runner = ScenarioRunner()
+        runner.run(_tiny_spec(), trace_dir=tmp_path / "calm")
+        assert not list((tmp_path / "calm").glob("*.anomaly.trace.json"))
+
+        runner.run("heavy-churn", trace_dir=tmp_path / "churn")
+        with open(tmp_path / "churn" / "heavy-churn_42.anomaly.trace.json") as handle:
+            dumped = json.load(handle)["traceEvents"]
+        with open(tmp_path / "churn" / "heavy-churn_42.trace.json") as handle:
+            full = json.load(handle)["traceEvents"]
+
+        def anomalies(events):
+            return [e["name"] for e in events if e.get("cat") == "anomaly"]
+
+        # The last dump holds every anomaly of the run, and nothing after it.
+        assert anomalies(dumped) == anomalies(full)
+        assert "client-crash" in anomalies(dumped)
+        assert len(dumped) < len(full)
+
     def test_trace_files_are_byte_identical_across_runs(self, tmp_path):
         runner = ScenarioRunner()
         runner.run(_tiny_spec(), trace_dir=tmp_path / "a")

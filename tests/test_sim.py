@@ -8,7 +8,7 @@ import pytest
 from repro.sim.clock import SimulationClock
 from repro.sim.costs import CostModel
 from repro.sim.device import DEVICE_TIERS, DeviceFleet, DeviceProfile
-from repro.sim.events import EventLog
+from repro.sim.events import ChurnSchedule, EventLog
 from repro.sim.resources import ResourceAccountant
 
 
@@ -235,3 +235,43 @@ class TestEventLog:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             EventLog().record(0, "a", "x", duration_s=-1)
+
+
+class TestChurnSchedule:
+    def test_builders_record_actions_sorted_by_time(self):
+        plan = ChurnSchedule()
+        plan.join(0.3, "c1", detail="arrives")
+        plan.leave(0.1, "c2")
+        plan.reconnect(0.3, "c2")
+        assert [(e.time, e.action, e.client_id) for e in plan.events] == [
+            (0.1, "leave", "c2"), (0.3, "join", "c1"), (0.3, "reconnect", "c2"),
+        ]
+        assert plan.events[1].detail == "arrives"
+
+    def test_bind_needs_a_handler_for_every_action(self):
+        from repro.runtime.scheduler import EventScheduler
+
+        plan = ChurnSchedule()
+        plan.join(0.1, "c1")
+        plan.leave(0.2, "c1")
+        with pytest.raises(KeyError, match="join"):
+            plan.bind(EventScheduler(clock=SimulationClock()), {"leave": lambda e: None})
+
+    def test_bound_events_fire_in_time_order_and_are_logged(self):
+        from repro.runtime.scheduler import EventScheduler
+
+        clock = SimulationClock()
+        scheduler = EventScheduler(clock=clock)
+        plan = ChurnSchedule()
+        plan.join(0.2, "c1")
+        plan.leave(0.1, "c2")
+        fired = []
+        log = EventLog()
+        handlers = {
+            action: lambda e: fired.append((clock.now(), e.action, e.client_id))
+            for action in ("join", "leave")
+        }
+        assert plan.bind(scheduler, handlers, event_log=log) == 2
+        scheduler.run_until_time(1.0)
+        assert fired == [(0.1, "leave", "c2"), (0.2, "join", "c1")]
+        assert log.kinds() == {"churn_leave": 1, "churn_join": 1}

@@ -389,6 +389,22 @@ class TestRunWithStore:
             assert reopened.stats()["runs"] == 1
 
 
+    def test_context_manager_closes_an_owned_store(self, tmp_path):
+        path = tmp_path / "owned.sqlite"
+        with ScenarioRunner(store=path) as runner:
+            runner.run(_tiny_base())
+            assert runner.store is not None
+        assert runner.store is None
+        with ResultsStore(path) as reopened:
+            assert reopened.stats()["runs"] == 1
+
+    def test_context_manager_leaves_a_borrowed_store_open(self, store):
+        with ScenarioRunner(store=store) as runner:
+            runner.run(_tiny_base())
+        assert runner.store is store
+        assert store.stats()["runs"] == 1
+
+
 class TestGridWithStore:
     def test_warm_grid_executes_zero_cells(self, store, counted_cells):
         runner = ScenarioRunner(store=store)

@@ -337,6 +337,18 @@ class TestRunGrid:
                 row["observed_messaging_s"] / row["analytic_total_s"]
             )
 
+    def test_text_renderers_draw_the_row_builders(self, small_sweep):
+        from repro.experiments.report import format_table
+
+        grid = ScenarioRunner().run_grid(small_sweep, workers=1)
+        assert ScenarioRunner.format_grid(grid) == format_table(grid.summary_rows(), precision=4)
+        assert ScenarioRunner.format_comparison(grid, precision=2) == format_table(
+            grid.comparison_rows(), precision=2
+        )
+        aggregate = ScenarioRunner.format_seed_aggregate(grid)
+        assert aggregate == format_table(grid.seed_aggregate_rows(), precision=4)
+        assert len(aggregate.splitlines()) == 2 + len(grid.seed_aggregate_rows())
+
     def test_write_report_bundle(self, small_sweep, tmp_path):
         grid = ScenarioRunner().run_grid(small_sweep, workers=1)
         paths = grid.write_report(str(tmp_path))
