@@ -5,10 +5,10 @@ Exposes the experiment harness without writing any Python::
     python -m repro fig7                         # reproduce Fig. 7 (accuracy convergence)
     python -m repro fig8                         # reproduce Fig. 8 (processing delay sweep)
     python -m repro ablation aggregator-fraction # run one of the ablation studies
-    python -m repro run --clients 8 --rounds 3 --policy central
     python -m repro list                         # list available ablations
     python -m repro scenario list                # named scenarios (churn/fault workloads)
     python -m repro scenario run heavy-churn --seed 7
+    python -m repro scenario run --spec my-run.json   # a custom run: a ScenarioSpec file
     python -m repro scenario sweep --seeds 1 2 3
     python -m repro scenario grid --workers 4 --report out/   # parameter grid, parallel
     python -m repro scenario grid --resume       # restart an interrupted grid from the store
@@ -16,7 +16,6 @@ Exposes the experiment harness without writing any Python::
     python -m repro scenario store ls            # content-addressed results store
     python -m repro scenario store show <hash>
     python -m repro scenario store gc --older-than-days 30
-    python -m repro scenario serve --port 8765   # JSON API + grid-heatmap dashboard
 
 All commands print the same plain-text tables the benchmark harness emits.
 Scenario runs and grids consult the results store (``.repro/results.sqlite``
@@ -38,7 +37,6 @@ from repro.experiments.report import format_series, format_table
 # the store never loads numpy, the runtime or the figure harnesses.
 if TYPE_CHECKING:
     from repro.scenarios.runner import ScenarioRunner
-    from repro.scenarios.store import ResultsStore
 
 __all__ = ["main", "build_parser", "ABLATIONS"]
 
@@ -80,24 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("name", choices=sorted(ABLATIONS), help="which ablation to run")
 
     sub.add_parser("list", help="list available ablations")
-
-    run = sub.add_parser("run", help="run a custom SDFLMQ experiment")
-    run.add_argument("--clients", type=int, default=5)
-    run.add_argument("--rounds", type=int, default=3)
-    run.add_argument("--epochs", type=int, default=3)
-    run.add_argument("--policy", choices=["hierarchical", "central"], default="hierarchical")
-    run.add_argument("--aggregator-fraction", type=float, default=0.30)
-    run.add_argument("--aggregation", default="fedavg")
-    run.add_argument("--role-policy", default="static")
-    run.add_argument("--partition", choices=["iid", "dirichlet", "shard"], default="iid")
-    run.add_argument("--dirichlet-alpha", type=float, default=0.5)
-    run.add_argument("--dataset-samples", type=int, default=4000)
-    run.add_argument("--client-fraction", type=float, default=0.02)
-    run.add_argument("--regions", type=int, default=1)
-    run.add_argument("--device-tier", default="laptop")
-    run.add_argument("--heterogeneous", action="store_true")
-    run.add_argument("--no-train", action="store_true", help="skip real training (delay-only runs)")
-    run.add_argument("--seed", type=int, default=42)
 
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios with churn + fault injection"
@@ -222,20 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_store_options(store_gc)
 
-    scenario_serve = scenario_sub.add_parser(
-        "serve", help="serve stored runs/grids over HTTP (JSON API + heatmap dashboard)"
-    )
-    scenario_serve.add_argument("--host", default="127.0.0.1")
-    scenario_serve.add_argument("--port", type=int, default=8765)
-    scenario_serve.add_argument(
-        "--verbose", action="store_true", help="log every request to stderr"
-    )
-    scenario_serve.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="also serve flight-recorder files from DIR under /api/trace",
-    )
-    add_store_options(scenario_serve)
-
     scenario_trace = scenario_sub.add_parser(
         "trace",
         help="summarize a flight-recorder file (Chrome trace_event JSON or JSONL)",
@@ -299,41 +265,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runtime.experiment import ExperimentConfig, FLExperiment
-
-    config = ExperimentConfig(
-        name="cli-run",
-        num_clients=args.clients,
-        fl_rounds=args.rounds,
-        local_epochs=args.epochs,
-        dataset_samples=args.dataset_samples,
-        client_data_fraction=args.client_fraction,
-        partition=args.partition,
-        dirichlet_alpha=args.dirichlet_alpha,
-        clustering_policy=args.policy,
-        aggregator_fraction=args.aggregator_fraction,
-        aggregation=args.aggregation,
-        role_policy=args.role_policy,
-        num_regions=args.regions,
-        device_tier=args.device_tier,
-        heterogeneous_devices=args.heterogeneous,
-        train_for_real=not args.no_train,
-        seed=args.seed,
-    )
-    result = FLExperiment(config).run()
-    print(f"SDFLMQ experiment: {args.clients} clients, {args.rounds} rounds, "
-          f"{args.policy} clustering, {args.aggregation} aggregation\n")
-    print(format_table(result.as_rows(), precision=4))
-    print()
-    print(f"final accuracy      : {result.final_accuracy:.4f}")
-    print(f"total delay (sim)   : {result.total_delay_s:.2f} s")
-    print(f"total traffic       : {result.total_traffic_bytes / 1024:.1f} KiB")
-    print(f"messages routed     : {result.total_messages}")
-    print(f"role changes        : {result.role_changes_total}")
-    return 0
-
-
 def _store_path(args: argparse.Namespace) -> Optional[str]:
     """The results-store path the command should use (None = store disabled)."""
     if getattr(args, "no_store", False):
@@ -348,8 +279,12 @@ def _store_path(args: argparse.Namespace) -> Optional[str]:
 def _make_runner(args: argparse.Namespace) -> ScenarioRunner:
     """A runner wired to the selected results store (owned by the runner)."""
     from repro.scenarios.runner import ScenarioRunner
+    from repro.scenarios.store import ResultsStoreError
 
-    return ScenarioRunner(store=_store_path(args))
+    try:
+        return ScenarioRunner(store=_store_path(args))
+    except ResultsStoreError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _logger(name: str, **context: object):
@@ -482,23 +417,16 @@ def _cmd_scenario_schema(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_store(args: argparse.Namespace) -> Optional[ResultsStore]:
-    """Open the selected store for the maintenance verbs (None = disabled)."""
+def _cmd_scenario_store(args: argparse.Namespace) -> int:
+    from repro.scenarios.store import ResultsStore, ResultsStoreError
+
     path = _store_path(args)
     if path is None:
-        print("this command needs the results store (drop --no-store)", file=sys.stderr)
-        return None
-    from repro.scenarios.store import ResultsStore
-
-    return ResultsStore(path)
-
-
-def _cmd_scenario_store(args: argparse.Namespace) -> int:
-    from repro.scenarios.store import ResultsStoreError
-
-    store = _open_store(args)
-    if store is None:
-        return 2
+        raise _UsageError("this command needs the results store (drop --no-store)")
+    try:
+        store = ResultsStore(path)
+    except ResultsStoreError as exc:
+        raise _UsageError(str(exc)) from exc
     try:
         if args.store_command == "ls":
             stats = store.stats()
@@ -555,30 +483,6 @@ def _cmd_scenario_store(args: argparse.Namespace) -> int:
         store.close()
 
 
-def _cmd_scenario_serve(args: argparse.Namespace) -> int:
-    from repro.scenarios.serve import serve_forever
-
-    store = _open_store(args)
-    if store is None:
-        return 2
-    try:
-        stats = store.stats()
-        _logger("repro.scenario.serve", host=args.host, port=args.port).info(
-            f"serving {stats['runs']} run(s) / {stats['grids']} grid(s) from "
-            f"{stats['path']} on http://{args.host}:{args.port}/ (Ctrl-C to stop)"
-        )
-        serve_forever(
-            store,
-            host=args.host,
-            port=args.port,
-            verbose=args.verbose,
-            trace_dir=args.trace_dir,
-        )
-        return 0
-    finally:
-        store.close()
-
-
 def _cmd_scenario_trace(args: argparse.Namespace) -> int:
     from repro.obs.tools import summarize_trace, trace_summary_rows
 
@@ -616,8 +520,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return _cmd_scenario_schema(args)
     if args.scenario_command == "store":
         return _cmd_scenario_store(args)
-    if args.scenario_command == "serve":
-        return _cmd_scenario_serve(args)
     if args.scenario_command == "trace":
         return _cmd_scenario_trace(args)
 
@@ -679,7 +581,6 @@ _COMMANDS = {
     "fig8": _cmd_fig8,
     "ablation": _cmd_ablation,
     "list": _cmd_list,
-    "run": _cmd_run,
     "scenario": _cmd_scenario,
 }
 

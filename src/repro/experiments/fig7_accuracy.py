@@ -22,7 +22,7 @@ from typing import Dict, List
 from repro.baselines.offline import OfflineTrainingBaseline
 from repro.ml.data import train_test_split
 from repro.ml.datasets import SyntheticDigitsConfig, synthetic_digits
-from repro.runtime.experiment import ExperimentConfig, FLExperiment
+from repro.runtime.experiment import TEST_FRACTION, ExperimentConfig, FLExperiment
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import require_positive
 
@@ -124,7 +124,7 @@ def run_fig7(config: Fig7Config | None = None) -> Fig7Result:
         SyntheticDigitsConfig(num_samples=config.dataset_samples, seed=seeds.seed("dataset"))
     )
     train_set, test_set = train_test_split(
-        dataset, test_fraction=fl_config.test_fraction, rng=seeds.generator("split")
+        dataset, test_fraction=TEST_FRACTION, rng=seeds.generator("split")
     )
     offline = OfflineTrainingBaseline(
         train_set=train_set,

@@ -55,6 +55,12 @@ __all__ = ["ExperimentConfig", "RoundResult", "ExperimentResult", "FLExperiment"
 
 #: Side of the synthetic digit images; the model's input is its square.
 INPUT_SIDE = 16
+#: Digit classes of the synthetic dataset (the model's output width).
+NUM_CLASSES = 10
+#: Share of the synthetic dataset held out as the global test split.
+TEST_FRACTION = 0.15
+#: Model name every client announces when it creates or joins the session.
+MODEL_NAME = "mlp"
 
 
 @dataclass
@@ -76,8 +82,6 @@ class ExperimentConfig:
     learning_rate: float = 1e-3
     # Dataset
     dataset_samples: int = 6000
-    test_fraction: float = 0.15
-    num_classes: int = 10
     client_data_fraction: float = 0.01
     partition: str = "iid"
     dirichlet_alpha: float = 0.5
@@ -89,13 +93,11 @@ class ExperimentConfig:
     rebalance_every_round: bool = True
     # Devices
     device_tier: str = "laptop"
-    heterogeneous_devices: bool = False
     tier_mix: Optional[Dict[str, float]] = None
     memory_pressure: float = 0.0
     device_memory_override_bytes: Optional[int] = None
     # Transport
     compression_enabled: bool = True
-    chunk_bytes: int = 256 * 1024
     num_regions: int = 1
     #: Update-compression codec for contributions on the wire ("none",
     #: "fp16", "int8", "topk[=d]", "delta", or composed e.g. "delta+int8").
@@ -104,7 +106,6 @@ class ExperimentConfig:
     train_for_real: bool = True
     seed: int = 42
     session_id: str = "session_01"
-    model_name: str = "mlp"
     # Scenario hooks.  ``initial_clients`` (default: all) is how many clients
     # connect and join the session during setup; the rest are provisioned
     # (dataset, model, optimizer) but stay offline until a scenario admits
@@ -123,7 +124,6 @@ class ExperimentConfig:
         require_positive(self.batch_size, "batch_size")
         require_positive(self.learning_rate, "learning_rate")
         require_positive(self.dataset_samples, "dataset_samples")
-        require_in_range(self.test_fraction, "test_fraction", 0.0, 0.9, inclusive=False)
         require_in_range(self.client_data_fraction, "client_data_fraction", 0.0, 1.0, inclusive=False)
         if self.partition not in ("iid", "dirichlet", "shard"):
             raise ValueError(f"unknown partition scheme {self.partition!r}")
@@ -178,35 +178,6 @@ class RoundResult:
     collecting_s: float = 0.0
     aggregating_s: float = 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict row (used by the benchmark tables and grid reports).
-
-        ``round_delay_s`` is the analytic critical-path delay while
-        ``messaging_s`` is the observed event-scheduler makespan — exporting
-        both here is what lets reports compare model against execution.  The
-        ``planning_s``/``collecting_s``/``aggregating_s`` columns split the
-        observed time by lifecycle phase, localizing *where* a degraded
-        scenario loses it.
-        """
-        row = {
-            "round": self.round_index,
-            "test_accuracy": self.test_accuracy,
-            "test_loss": self.test_loss,
-            "mean_train_loss": self.mean_train_loss,
-            "round_delay_s": self.delay.total_s,
-            "messaging_s": self.delay.messaging_s,
-            "planning_s": self.planning_s,
-            "collecting_s": self.collecting_s,
-            "aggregating_s": self.aggregating_s,
-            "traffic_bytes": self.traffic_bytes,
-            "messages_routed": self.messages_routed,
-            "roles_changed": self.roles_changed,
-            "overflow_events": self.overflow_events,
-            "participants": self.participants,
-            "stragglers_cut": self.stragglers_cut,
-        }
-        return row
-
 
 @dataclass
 class ExperimentResult:
@@ -225,10 +196,6 @@ class ExperimentResult:
     def accuracies(self) -> List[float]:
         """Per-round test accuracies in order."""
         return [r.test_accuracy for r in self.rounds]
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Row-per-round table representation."""
-        return [r.as_dict() for r in self.rounds]
 
 
 class FLExperiment:
@@ -282,13 +249,13 @@ class FLExperiment:
         dataset = synthetic_digits(
             SyntheticDigitsConfig(
                 num_samples=config.dataset_samples,
-                num_classes=config.num_classes,
+                num_classes=NUM_CLASSES,
                 side=INPUT_SIDE,
                 seed=self.seeds.seed("dataset"),
             )
         )
         train_set, test_set = train_test_split(
-            dataset, test_fraction=config.test_fraction, rng=self.seeds.generator("split")
+            dataset, test_fraction=TEST_FRACTION, rng=self.seeds.generator("split")
         )
         self.test_set = test_set
 
@@ -331,10 +298,6 @@ class FLExperiment:
                 tier_mix=dict(config.tier_mix),
                 prefix="client",
                 seed=self.seeds.seed("fleet"),
-            )
-        elif config.heterogeneous_devices:
-            self.fleet = DeviceFleet.heterogeneous(
-                config.num_clients, prefix="client", seed=self.seeds.seed("fleet")
             )
         else:
             self.fleet = DeviceFleet.homogeneous(
@@ -412,7 +375,6 @@ class FLExperiment:
                 preferred_role="trainer_aggregator",
                 aggregation=config.aggregation,
                 compression=compression,
-                chunk_bytes=config.chunk_bytes,
                 stats_provider=(lambda cid=client_id: self.fleet.stats(cid)),
                 resources=self.resources,
                 pump=self.pump.run_until_idle,
@@ -424,10 +386,10 @@ class FLExperiment:
 
             network = make_paper_mlp(
                 input_dim=INPUT_SIDE * INPUT_SIDE,
-                num_classes=config.num_classes,
+                num_classes=NUM_CLASSES,
                 seed=config.seed,
             )
-            model = ClassifierModel(network, name=config.model_name)
+            model = ClassifierModel(network, name=MODEL_NAME)
             self.client_models[client_id] = model
             self.client_optimizers[client_id] = Adam(network, lr=config.learning_rate)
 
@@ -438,7 +400,7 @@ class FLExperiment:
         creator.create_fl_session(
             session_id=config.session_id,
             fl_rounds=config.fl_rounds,
-            model_name=config.model_name,
+            model_name=MODEL_NAME,
             session_capacity_min=initial,
             session_capacity_max=config.num_clients,
             aggregation=config.aggregation,
@@ -447,7 +409,7 @@ class FLExperiment:
             client.join_fl_session(
                 session_id=config.session_id,
                 fl_rounds=config.fl_rounds,
-                model_name=config.model_name,
+                model_name=MODEL_NAME,
                 num_samples=len(self.client_datasets[client.client_id]),
             )
         self.pump.run_until_idle()
@@ -681,7 +643,7 @@ class FLExperiment:
             client.join_fl_session(
                 session_id=config.session_id,
                 fl_rounds=config.fl_rounds,
-                model_name=config.model_name,
+                model_name=MODEL_NAME,
                 num_samples=len(self.client_datasets[client_id]),
             )
         finally:
@@ -725,7 +687,7 @@ class FLExperiment:
             client.join_fl_session(
                 session_id=config.session_id,
                 fl_rounds=config.fl_rounds,
-                model_name=config.model_name,
+                model_name=MODEL_NAME,
                 num_samples=len(self.client_datasets[client_id]),
             )
         finally:

@@ -130,8 +130,8 @@ class ScenarioResult:
         default=None, repr=False, compare=False
     )
     #: Unified metrics snapshot (``repro.obs.MetricsRegistry.snapshot()``)
-    #: taken after the last round; persisted in the store payload and served
-    #: by ``scenario serve /api/metrics``.
+    #: taken after the last round; persisted in the store payload (``scenario
+    #: store show``) and written beside a ``--trace`` run's flight recorder.
     metrics: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property

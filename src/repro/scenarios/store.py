@@ -13,8 +13,7 @@ platform never executes the same simulation twice:
 * editing one axis value of a 12-cell grid re-executes only the changed
   cells, and an interrupted sweep resumes from its stored cells
   (``scenario grid --resume``),
-* ``scenario store ls|gc|show`` manage the database from the CLI and
-  ``scenario serve`` (:mod:`repro.scenarios.serve`) exposes it over HTTP.
+* ``scenario store ls|gc|show`` manage the database from the CLI.
 
 The store deliberately holds only *plain data* (the JSON payload a
 :class:`~repro.scenarios.runner.CellResult` condenses to — metric scalars,
@@ -24,8 +23,7 @@ their shortest-repr bit pattern), so a cached result renders byte-identically
 to a fresh one.
 
 Grid runs are recorded alongside (``grids`` table: sweep hash → ordered cell
-keys), which is what lets ``scenario serve`` rebuild a grid's CSV bundle and
-heatmap from stored cells without re-running anything.
+keys), which is what ``scenario store show <grid>`` prints.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
@@ -108,7 +105,7 @@ def spec_hash(spec: Union[ScenarioSpec, Mapping[str, object]]) -> str:
     Accepts a :class:`ScenarioSpec` or its ``as_dict`` form.  The hash covers
     the *entire* spec (including the seed), so the ``(spec_hash, seed)``
     store key is redundant but self-describing: the seed column is what
-    ``store ls`` and the serve API group by.
+    ``store ls`` groups by.
     """
     return _content_hash(spec.as_dict() if isinstance(spec, ScenarioSpec) else dict(spec))
 
@@ -209,49 +206,58 @@ _SCHEMA_STATEMENTS = (
 
 
 class ResultsStore:
-    """A schema-versioned sqlite results store, safe for threaded readers.
+    """A schema-versioned sqlite results store.
 
-    All operations serialize through one internal lock (the serve mode's
-    ``ThreadingHTTPServer`` shares a single store across request threads);
-    every write commits immediately, so a killed process keeps everything
+    Every write commits immediately, so a killed process keeps everything
     stored up to its last completed cell — the property ``--resume`` builds
     on.
 
     Use as a context manager or call :meth:`close`; a store opened on a
-    fresh path creates the database (and its parent directory) eagerly, and
-    a database written by a different schema version raises
-    :class:`ResultsStoreError` instead of being reinterpreted.
+    fresh path creates the database (and its parent directory) eagerly.  A
+    file that is not an sqlite database, or one written by a different
+    schema version, raises :class:`ResultsStoreError` instead of being
+    reinterpreted.
     """
 
     def __init__(self, path: Union[str, os.PathLike] = DEFAULT_STORE_PATH) -> None:
         import sqlite3  # loaded when a store opens, not by a --no-store run
 
         self.path = os.fspath(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._lock = threading.RLock()
-        self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
-            self.path, check_same_thread=False
-        )
-        self._connection.row_factory = sqlite3.Row
-        # Concurrent-writer posture: WAL lets readers (serve mode, a
-        # --resume consult) proceed while another process commits a cell,
-        # and the busy timeout turns writer-vs-writer "database is locked"
-        # races (parallel grids sharing one store) into short
-        # waits instead of hard errors.  journal_mode returns the mode
-        # actually in effect — some filesystems refuse WAL — so the
-        # fallback is whatever sqlite kept, with the timeout still applied.
         try:
-            self._connection.execute("PRAGMA journal_mode=WAL").fetchone()
-        except sqlite3.OperationalError:  # pragma: no cover - fs dependent
-            pass
-        self._connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        self._initialize()
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+            self._connection: Optional[sqlite3.Connection] = sqlite3.connect(self.path)
+        except (OSError, sqlite3.Error) as exc:  # a directory, or a file as parent
+            raise ResultsStoreError(f"cannot open results store {self.path}: {exc}") from exc
+        self._connection.row_factory = sqlite3.Row
+        # Concurrent-writer posture: WAL lets readers (a --resume consult)
+        # proceed while another process commits a cell, and the busy timeout
+        # turns writer-vs-writer "database is locked" races (parallel grids
+        # sharing one store) into short waits instead of hard errors.
+        # journal_mode returns the mode actually in effect — some
+        # filesystems refuse WAL — so the fallback is whatever sqlite kept,
+        # with the timeout still applied.  A file that is not an sqlite
+        # database (garbage, zero-filled, truncated) fails here, at its
+        # first read, with a DatabaseError that is not an OperationalError.
+        try:
+            try:
+                self._connection.execute("PRAGMA journal_mode=WAL").fetchone()
+            except sqlite3.OperationalError:  # pragma: no cover - fs dependent
+                pass
+            self._connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            self._initialize()
+        except sqlite3.DatabaseError as exc:
+            self.close()
+            raise ResultsStoreError(
+                f"{self.path} is not a readable results store ({exc}); move the file aside"
+            ) from exc
+        except ResultsStoreError:
+            self.close()
+            raise
 
     # ----------------------------------------------------------- lifecycle
 
     def _initialize(self) -> None:
-        with self._lock, self._db() as db:
+        with self._db() as db:
             for statement in _SCHEMA_STATEMENTS:
                 db.execute(statement)
             row = db.execute(
@@ -262,10 +268,10 @@ class ResultsStore:
                     "INSERT INTO store_meta (key, value) VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
-            elif int(row["value"]) != SCHEMA_VERSION:
+            elif row["value"] != str(SCHEMA_VERSION):
                 raise ResultsStoreError(
-                    f"{self.path} uses store schema {row['value']}, this build "
-                    f"expects {SCHEMA_VERSION}; move the file aside or gc --all it"
+                    f"{self.path} uses store schema {row['value']!r}, this build "
+                    f"expects {SCHEMA_VERSION}; move the file aside"
                 )
             db.commit()
 
@@ -276,10 +282,9 @@ class ResultsStore:
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
-        with self._lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     def __enter__(self) -> "ResultsStore":
         return self
@@ -291,21 +296,20 @@ class ResultsStore:
 
     def get_run(self, spec_hash: str, seed: int) -> Optional[StoredRun]:
         """Look one run up by its content address; bumps the hit counter."""
-        with self._lock:
-            db = self._db()
-            row = db.execute(
-                "SELECT * FROM runs WHERE spec_hash = ? AND seed = ?",
-                (spec_hash, int(seed)),
-            ).fetchone()
-            if row is None:
-                return None
-            db.execute(
-                "UPDATE runs SET hits = hits + 1, last_used_at = ? "
-                "WHERE spec_hash = ? AND seed = ?",
-                (time.time(), spec_hash, int(seed)),
-            )
-            db.commit()
-            return self._run_from_row(row)
+        db = self._db()
+        row = db.execute(
+            "SELECT * FROM runs WHERE spec_hash = ? AND seed = ?",
+            (spec_hash, int(seed)),
+        ).fetchone()
+        if row is None:
+            return None
+        db.execute(
+            "UPDATE runs SET hits = hits + 1, last_used_at = ? "
+            "WHERE spec_hash = ? AND seed = ?",
+            (time.time(), spec_hash, int(seed)),
+        )
+        db.commit()
+        return self._run_from_row(row)
 
     def put_run(
         self,
@@ -322,28 +326,27 @@ class ResultsStore:
         """
         tree = spec.as_dict() if isinstance(spec, ScenarioSpec) else dict(spec)
         now = time.time()
-        with self._lock:
-            db = self._db()
-            db.execute(
-                "INSERT OR REPLACE INTO runs (spec_hash, seed, scenario, signature,"
-                " spec_json, payload_json, created_at, last_used_at, hits)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0)",
-                (
-                    spec_hash,
-                    int(seed),
-                    str(tree.get("name", "")),
-                    signature,
-                    canonical_json(tree),
-                    # NOT canonical/sorted: the payload's key order is the
-                    # rendered column order (format_table uses first
-                    # appearance), and stored→rendered must be byte-identical
-                    # to fresh→rendered.
-                    json.dumps(payload),
-                    now,
-                    now,
-                ),
-            )
-            db.commit()
+        db = self._db()
+        db.execute(
+            "INSERT OR REPLACE INTO runs (spec_hash, seed, scenario, signature,"
+            " spec_json, payload_json, created_at, last_used_at, hits)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0)",
+            (
+                spec_hash,
+                int(seed),
+                str(tree.get("name", "")),
+                signature,
+                canonical_json(tree),
+                # NOT canonical/sorted: the payload's key order is the
+                # rendered column order (format_table uses first
+                # appearance), and stored→rendered must be byte-identical
+                # to fresh→rendered.
+                json.dumps(payload),
+                now,
+                now,
+            ),
+        )
+        db.commit()
 
     def runs(self, scenario: Optional[str] = None) -> List[StoredRun]:
         """Stored runs, newest first (optionally filtered by scenario name)."""
@@ -353,28 +356,25 @@ class ResultsStore:
             query += " WHERE scenario = ?"
             params = (scenario,)
         query += " ORDER BY created_at DESC, spec_hash, seed"
-        with self._lock:
-            rows = self._db().execute(query, params).fetchall()
+        rows = self._db().execute(query, params).fetchall()
         return [self._run_from_row(row) for row in rows]
 
     def run_spec(self, spec_hash: str, seed: int) -> Dict[str, object]:
         """The canonical spec document stored with a run."""
-        with self._lock:
-            row = self._db().execute(
-                "SELECT spec_json FROM runs WHERE spec_hash = ? AND seed = ?",
-                (spec_hash, int(seed)),
-            ).fetchone()
+        row = self._db().execute(
+            "SELECT spec_json FROM runs WHERE spec_hash = ? AND seed = ?",
+            (spec_hash, int(seed)),
+        ).fetchone()
         if row is None:
             raise ResultsStoreError(f"no stored run {spec_hash[:12]}…/seed {seed}")
         return json.loads(row["spec_json"])
 
     def resolve_run(self, prefix: str, seed: Optional[int] = None) -> StoredRun:
         """Find exactly one run by spec-hash prefix (CLI ``store show``)."""
-        with self._lock:
-            rows = self._db().execute(
-                "SELECT * FROM runs WHERE spec_hash LIKE ? ORDER BY seed",
-                (prefix + "%",),
-            ).fetchall()
+        rows = self._db().execute(
+            "SELECT * FROM runs WHERE spec_hash LIKE ? ORDER BY seed",
+            (prefix + "%",),
+        ).fetchall()
         matches = [self._run_from_row(row) for row in rows]
         if seed is not None:
             matches = [run for run in matches if run.seed == int(seed)]
@@ -414,47 +414,43 @@ class ResultsStore:
         """Insert or refresh one grid run's cell index.
 
         ``cells`` entries carry ``{"index", "coordinates", "spec_hash",
-        "seed", "signature"}`` — enough for the serve API to rebuild the
-        whole CSV bundle from the ``runs`` table without re-deriving the
-        sweep expansion.
+        "seed", "signature"}`` — enough for ``gc`` to tell whether every
+        cell still resolves against the ``runs`` table.
         """
         now = time.time()
-        with self._lock:
-            db = self._db()
-            existing = db.execute(
-                "SELECT created_at FROM grids WHERE sweep_hash = ?", (sweep_hash,)
-            ).fetchone()
-            created = float(existing["created_at"]) if existing is not None else now
-            db.execute(
-                "INSERT OR REPLACE INTO grids (sweep_hash, name, axes_json,"
-                " cells_json, created_at, updated_at) VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    sweep_hash,
-                    name,
-                    json.dumps(list(axes)),
-                    json.dumps([dict(cell) for cell in cells]),
-                    created,
-                    now,
-                ),
-            )
-            db.commit()
+        db = self._db()
+        existing = db.execute(
+            "SELECT created_at FROM grids WHERE sweep_hash = ?", (sweep_hash,)
+        ).fetchone()
+        created = float(existing["created_at"]) if existing is not None else now
+        db.execute(
+            "INSERT OR REPLACE INTO grids (sweep_hash, name, axes_json,"
+            " cells_json, created_at, updated_at) VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                sweep_hash,
+                name,
+                json.dumps(list(axes)),
+                json.dumps([dict(cell) for cell in cells]),
+                created,
+                now,
+            ),
+        )
+        db.commit()
 
     def grids(self) -> List[StoredGrid]:
         """Recorded grids, newest first."""
-        with self._lock:
-            rows = self._db().execute(
-                "SELECT * FROM grids ORDER BY updated_at DESC, sweep_hash"
-            ).fetchall()
+        rows = self._db().execute(
+            "SELECT * FROM grids ORDER BY updated_at DESC, sweep_hash"
+        ).fetchall()
         return [self._grid_from_row(row) for row in rows]
 
     def resolve_grid(self, prefix: str) -> StoredGrid:
         """Find exactly one grid by sweep-hash prefix or exact name."""
-        with self._lock:
-            rows = self._db().execute(
-                "SELECT * FROM grids WHERE sweep_hash LIKE ? OR name = ?"
-                " ORDER BY updated_at DESC",
-                (prefix + "%", prefix),
-            ).fetchall()
+        rows = self._db().execute(
+            "SELECT * FROM grids WHERE sweep_hash LIKE ? OR name = ?"
+            " ORDER BY updated_at DESC",
+            (prefix + "%", prefix),
+        ).fetchall()
         if not rows:
             raise ResultsStoreError(f"no recorded grid matches {prefix!r}")
         if len(rows) > 1:
@@ -505,41 +501,37 @@ class ResultsStore:
                 clauses.append("scenario = ?")
                 params.append(scenario)
         where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        with self._lock:
-            db = self._db()
-            removed_runs = db.execute(
-                f"DELETE FROM runs{where}", tuple(params)
-            ).rowcount
-            removed_grids = 0
-            for row in db.execute("SELECT sweep_hash, cells_json FROM grids").fetchall():
-                cells = json.loads(row["cells_json"])
-                complete = all(
-                    db.execute(
-                        "SELECT 1 FROM runs WHERE spec_hash = ? AND seed = ?",
-                        (cell["spec_hash"], int(cell["seed"])),
-                    ).fetchone()
-                    is not None
-                    for cell in cells
+        db = self._db()
+        removed_runs = db.execute(f"DELETE FROM runs{where}", tuple(params)).rowcount
+        removed_grids = 0
+        for row in db.execute("SELECT sweep_hash, cells_json FROM grids").fetchall():
+            cells = json.loads(row["cells_json"])
+            complete = all(
+                db.execute(
+                    "SELECT 1 FROM runs WHERE spec_hash = ? AND seed = ?",
+                    (cell["spec_hash"], int(cell["seed"])),
+                ).fetchone()
+                is not None
+                for cell in cells
+            )
+            if not complete:
+                db.execute(
+                    "DELETE FROM grids WHERE sweep_hash = ?", (row["sweep_hash"],)
                 )
-                if not complete:
-                    db.execute(
-                        "DELETE FROM grids WHERE sweep_hash = ?", (row["sweep_hash"],)
-                    )
-                    removed_grids += 1
-            db.commit()
-            if vacuum:
-                db.execute("VACUUM")
+                removed_grids += 1
+        db.commit()
+        if vacuum:
+            db.execute("VACUUM")
         return {"runs": int(removed_runs), "grids": int(removed_grids)}
 
     # ----------------------------------------------------------------- misc
 
     def stats(self) -> Dict[str, object]:
-        """Headline numbers for ``store ls`` and the serve health endpoint."""
-        with self._lock:
-            db = self._db()
-            runs = db.execute("SELECT COUNT(*) AS n FROM runs").fetchone()["n"]
-            grids = db.execute("SELECT COUNT(*) AS n FROM grids").fetchone()["n"]
-            hits = db.execute("SELECT COALESCE(SUM(hits), 0) AS n FROM runs").fetchone()["n"]
+        """Headline numbers for ``store ls``."""
+        db = self._db()
+        runs = db.execute("SELECT COUNT(*) AS n FROM runs").fetchone()["n"]
+        grids = db.execute("SELECT COUNT(*) AS n FROM grids").fetchone()["n"]
+        hits = db.execute("SELECT COALESCE(SUM(hits), 0) AS n FROM runs").fetchone()["n"]
         size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
         return {
             "path": self.path,

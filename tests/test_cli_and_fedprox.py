@@ -13,9 +13,18 @@ class TestCLIParser:
     def test_all_commands_present(self):
         parser = build_parser()
         for argv in (["fig7"], ["fig8", "--fast"], ["ablation", "topologies"], ["list"],
-                     ["run", "--clients", "3"]):
+                     ["scenario", "run", "baseline"]):
             args = parser.parse_args(argv)
             assert args.command == argv[0]
+
+    @pytest.mark.parametrize("argv", [["run", "--clients", "3"], ["scenario", "serve"]])
+    def test_removed_verbs_are_usage_errors(self, argv, capsys):
+        # A custom run is a spec file (``scenario run --spec``); the HTTP
+        # surface is gone.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -101,14 +110,18 @@ class TestCLICommands:
         out = capsys.readouterr().out
         assert "compression_ratio" in out
 
-    def test_run_command_small_experiment(self, capsys):
-        code = main([
-            "run", "--clients", "3", "--rounds", "1", "--epochs", "1",
-            "--dataset-samples", "600", "--client-fraction", "0.05",
-            "--policy", "central", "--no-train",
-        ])
-        assert code == 0
+    def test_custom_run_from_a_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({
+            "name": "custom",
+            "seed": 5,
+            "fleet": {"num_clients": 3},
+            "topology": {"clustering": "central"},
+            "training": {"rounds": 1, "dataset_samples": 600,
+                         "train_for_real": False, "round_deadline_s": None},
+        }))
+        assert main(["scenario", "run", "--spec", str(path), "--no-store"]) == 0
         out = capsys.readouterr().out
-        assert "final accuracy" in out
-        assert "total delay" in out
-        assert "messages routed" in out
+        assert out.startswith("Scenario: custom (seed 5)")
+        assert "final_accuracy" in out and "messages" in out
+        assert "signature: " in out

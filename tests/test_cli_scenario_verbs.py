@@ -19,6 +19,7 @@ from repro.scenarios.schema import schema_markdown
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_DOC = os.path.join(REPO_ROOT, "docs", "scenario-spec.md")
+GRID_SPEC = os.path.join(REPO_ROOT, "tests", "data", "grid_smoke.json")
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,24 @@ class TestStoreVerbs:
         code, _out, err = _run(capsys, ["scenario", "store", *verb, "--no-store"])
         assert code == 2
         assert "needs the results store" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "store", "ls"],
+        ["scenario", "store", "show", "x"],
+        ["scenario", "store", "gc", "--all"],
+        ["scenario", "run", "baseline"],
+        ["scenario", "grid", "--spec", GRID_SPEC],
+        ["scenario", "sweep", "baseline"],
+    ])
+    def test_a_file_that_is_not_a_store_is_one_line_and_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "results.sqlite"
+        garbage = b"\0" * 4096
+        path.write_bytes(garbage)
+        code, out, err = _run(capsys, argv + ["--store", str(path)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert str(path) in err and "move the file aside" in err
+        assert path.read_bytes() == garbage
 
 
 class TestSchemaVerb:

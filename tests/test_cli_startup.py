@@ -34,7 +34,6 @@ NOT_FOR_A_PLAIN_RUN = (
     "repro.experiments.fig7_accuracy",
     "repro.experiments.fig8_delay",
     "repro.experiments.ablations",
-    "repro.scenarios.serve",
 )
 
 

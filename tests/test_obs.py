@@ -7,8 +7,7 @@ lifecycle-to-span adapter, ``PhaseTimer``'s ``exclude``/``prime``
 interaction, the structured stderr logger, the trace-file tooling, the
 scenario runner's flight-recorder integration — pinned to be
 **determinism-neutral**: same spec + seed produce byte-identical trace
-files, and a traced run's signature equals an untraced run's — and the
-``/api/metrics`` + ``/api/trace`` serve endpoints.
+files, and a traced run's signature equals an untraced run's.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ import json
 import logging
 import os
 import sys
-import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -38,13 +34,11 @@ from repro.obs import (
 from repro.obs.tools import load_trace_events, summarize_trace, trace_summary_rows
 from repro.scenarios import (
     FleetSpec,
-    ResultsStore,
     ScenarioRunner,
     ScenarioSpec,
     TopologySpec,
     TrainingSpec,
 )
-from repro.scenarios.serve import create_server
 
 
 def _tiny_spec(**overrides) -> ScenarioSpec:
@@ -468,63 +462,3 @@ class TestTraceTools:
         path.write_text('{"neither": "format"}')
         with pytest.raises(ValueError):
             load_trace_events(str(path))
-
-
-# ------------------------------------------------------------- serve routes
-
-
-class TestServeObservability:
-    @pytest.fixture
-    def served(self, tmp_path):
-        trace_dir = tmp_path / "trace"
-        with ResultsStore(tmp_path / "results.sqlite") as store:
-            runner = ScenarioRunner(store=store)
-            result = runner.run(_tiny_spec(), trace_dir=trace_dir)
-            server = create_server(
-                store, host="127.0.0.1", port=0, trace_dir=trace_dir
-            )
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            base = f"http://127.0.0.1:{server.server_address[1]}"
-            try:
-                yield base, store, result
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
-
-    def _get(self, url: str):
-        with urllib.request.urlopen(url, timeout=10) as response:
-            return response.status, response.read()
-
-    def test_metrics_index_and_detail(self, served):
-        base, store, result = served
-        status, body = self._get(f"{base}/api/metrics")
-        assert status == 200
-        rows = json.loads(body)["runs"]
-        assert len(rows) == 1 and rows[0]["has_metrics"]
-        assert rows[0]["gauges"] > 0
-
-        run = store.runs()[0]
-        status, body = self._get(f"{base}/api/metrics/{run.spec_hash}/{run.seed}")
-        document = json.loads(body)
-        assert status == 200
-        assert document["signature"] == result.signature
-        assert document["metrics"] == result.metrics
-
-    def test_trace_listing_and_fetch(self, served):
-        base, _store, _result = served
-        status, body = self._get(f"{base}/api/trace")
-        files = {entry["name"] for entry in json.loads(body)["files"]}
-        assert "obs-base_11.trace.json" in files
-        assert "obs-base_11.metrics.json" in files
-
-        status, body = self._get(f"{base}/api/trace/obs-base_11.trace.json")
-        assert status == 200
-        assert "traceEvents" in json.loads(body)
-
-    def test_unknown_trace_file_is_404(self, served):
-        base, _store, _result = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{base}/api/trace/nope.json")
-        assert excinfo.value.code == 404

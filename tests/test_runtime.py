@@ -177,7 +177,7 @@ class TestFLExperiment:
         assert result.total_messages > 0
         assert all(r.delay.total_s > 0 for r in result.rounds)
         assert len(result.accuracies) == 2 and len(result.rounds) == 2
-        assert result.as_rows()[0]["round"] == 0
+        assert [r.round_index for r in result.rounds] == [0, 1]
 
     def test_accuracy_improves_over_rounds(self):
         config = ExperimentConfig(
@@ -290,14 +290,11 @@ class TestPerPhaseRoundTiming:
             client_data_fraction=0.05, batch_size=16, seed=3, train_for_real=False,
         )
         result = FLExperiment(config).run()
-        for round_result in result.rounds:
-            row = round_result.as_dict()
-            for key in ("planning_s", "collecting_s", "aggregating_s"):
-                assert key in row
-                assert row[key] >= 0.0
+        for r in result.rounds:
+            assert min(r.planning_s, r.collecting_s, r.aggregating_s) >= 0.0
             # The analytic critical-path advance is excluded, so the phase
             # breakdown stays on the observed-messaging footing.
-            observed = row["collecting_s"] + row["aggregating_s"] + row["planning_s"]
-            assert observed <= row["messaging_s"] + row["round_delay_s"] + 1e-9
+            observed = r.collecting_s + r.aggregating_s + r.planning_s
+            assert observed <= r.delay.messaging_s + r.delay.total_s + 1e-9
         # Contributions were in flight for a nonzero simulated span.
         assert any(r.collecting_s > 0 for r in result.rounds)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
     ScenarioSpecError,
+    SweepSpec,
     TrainingSpec,
     build_experiment_config,
     compile_scenario,
@@ -168,6 +170,34 @@ class TestSpecDictForms:
         other = spec.with_seed(99)
         assert other.seed == 99 and spec.seed == 11
         assert other.fleet == spec.fleet
+
+
+def _cookbook_documents() -> dict:
+    """The ``cat > NAME.json <<'EOF'`` documents of docs/cookbook.md, by file name."""
+    with open(os.path.join(REPO_ROOT, "docs", "cookbook.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    found = re.findall(r"^cat > (\S+\.json) <<'EOF'\n(.*?)^EOF$", text, re.S | re.M)
+    return {name: json.loads(body) for name, body in found}
+
+
+class TestCookbookDocuments:
+    """The cookbook's JSON recipes load, so the documented way to ask for a
+    custom run cannot rot."""
+
+    def test_custom_run_spec_compiles_to_its_documented_knobs(self):
+        spec = ScenarioSpec.from_dict(_cookbook_documents()["my_run.json"])
+        config = build_experiment_config(spec)
+        assert (config.num_clients, config.fl_rounds) == (8, 3)
+        assert config.clustering_policy == "central"
+        assert (config.partition, config.dirichlet_alpha) == ("dirichlet", 0.3)
+        assert config.tier_mix == {"laptop": 0.35, "phone": 0.40, "rpi": 0.20, "server": 0.05}
+        assert config.round_deadline_s is None
+
+    def test_every_document_loads(self):
+        documents = _cookbook_documents()
+        assert {"my_run.json", "my_scenario.json", "my_grid.json"} <= set(documents)
+        for document in documents.values():
+            (SweepSpec if "axes" in document else ScenarioSpec).from_dict(document)
 
 
 class TestRegistry:

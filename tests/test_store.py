@@ -6,7 +6,8 @@ cache-hit byte-identity (stored signature == fresh signature, identical
 rendered rows), incremental grid re-execution (a warm grid executes zero
 cells, editing one axis value re-executes only the changed cells — pinned by
 counting worker invocations), ``--resume`` after a simulated mid-grid kill,
-the atomic report-bundle rename, and the serve JSON API.
+the atomic report-bundle rename, and files that are not a results store
+(garbage, truncated, a non-integer schema version) failing typed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import threading
-import urllib.request
 
 import pytest
 
@@ -36,7 +35,6 @@ from repro.scenarios import (
     sweep_hash,
 )
 from repro.scenarios.runner import CellResult
-from repro.scenarios.serve import create_server
 from repro.scenarios.store import BUSY_TIMEOUT_MS, SCHEMA_VERSION
 
 import repro.scenarios.runner as runner_module
@@ -221,14 +219,58 @@ class TestResultsStore:
     def test_wrong_schema_version_refused(self, tmp_path):
         path = tmp_path / "results.sqlite"
         with ResultsStore(path) as handle:
-            with handle._lock:
-                handle._db().execute(
-                    "UPDATE store_meta SET value = ? WHERE key = 'schema_version'",
-                    (str(SCHEMA_VERSION + 1),),
-                )
-                handle._db().commit()
+            handle._db().execute(
+                "UPDATE store_meta SET value = ? WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION + 1),),
+            )
+            handle._db().commit()
         with pytest.raises(ResultsStoreError, match="schema"):
             ResultsStore(path)
+
+    def test_non_integer_schema_version_refused(self, tmp_path):
+        path = tmp_path / "results.sqlite"
+        with ResultsStore(path) as handle:
+            handle._db().execute(
+                "UPDATE store_meta SET value = 'one' WHERE key = 'schema_version'"
+            )
+            handle._db().commit()
+        with pytest.raises(ResultsStoreError, match=r"schema 'one'.*move the file aside"):
+            ResultsStore(path)
+
+    def test_garbage_file_refused(self, tmp_path):
+        path = tmp_path / "results.sqlite"
+        path.write_bytes(b"not an sqlite database " * 200)
+        with pytest.raises(ResultsStoreError, match="not a readable results store"):
+            ResultsStore(path)
+        assert path.read_bytes() == b"not an sqlite database " * 200
+
+    def test_truncated_file_refused(self, tmp_path):
+        path = tmp_path / "results.sqlite"
+        with ResultsStore(path) as handle:
+            spec = _tiny_base()
+            for seed in range(40):
+                handle.put_run(spec_hash(spec), seed, spec, "sig" * 20, {"x": "y" * 400})
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 3])
+        with pytest.raises(ResultsStoreError, match=str(path)):
+            ResultsStore(path)
+
+    @pytest.mark.parametrize("where", ["a directory", "under a file"])
+    def test_unopenable_path_refused(self, tmp_path, where):
+        (tmp_path / "plain").write_text("x")
+        path = tmp_path if where == "a directory" else tmp_path / "plain" / "results.sqlite"
+        with pytest.raises(ResultsStoreError, match="cannot open results store"):
+            ResultsStore(path)
+
+    def test_stored_payload_carries_metrics_and_signature(self, tmp_path):
+        with ResultsStore(tmp_path / "results.sqlite") as handle:
+            result = ScenarioRunner(store=handle).run(_tiny_base())
+            (listed,) = handle.runs()
+            run = handle.get_run(listed.spec_hash, listed.seed)
+        assert run.signature == result.signature
+        assert run.payload["signature"] == result.signature
+        assert run.payload["metrics"] == result.metrics
+        assert run.payload["metrics"]["gauges"]
 
     def test_closed_store_raises(self, tmp_path):
         handle = ResultsStore(tmp_path / "results.sqlite")
@@ -254,9 +296,8 @@ def _hammer_store(path: str, worker: int, writes: int) -> None:
 class TestConcurrentWriters:
     def test_store_opens_in_wal_mode_with_busy_timeout(self, tmp_path):
         with ResultsStore(tmp_path / "results.sqlite") as handle:
-            with handle._lock:
-                mode = handle._db().execute("PRAGMA journal_mode").fetchone()[0]
-                timeout = handle._db().execute("PRAGMA busy_timeout").fetchone()[0]
+            mode = handle._db().execute("PRAGMA journal_mode").fetchone()[0]
+            timeout = handle._db().execute("PRAGMA busy_timeout").fetchone()[0]
             assert str(mode).lower() == "wal"
             assert int(timeout) == BUSY_TIMEOUT_MS
 
@@ -575,86 +616,6 @@ class TestAtomicReportBundle:
         out_dir = tmp_path / "deep" / "nested" / "bundle"
         paths = write_grid_report([self._cell()], str(out_dir))
         assert all(os.path.exists(path) for path in paths.values())
-
-
-class TestServeApi:
-    @pytest.fixture
-    def served(self, store):
-        runner = ScenarioRunner(store=store)
-        grid = runner.run_grid(_small_sweep(), workers=1)
-        server = create_server(store, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            yield base, grid
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-    def _get(self, url: str):
-        with urllib.request.urlopen(url, timeout=10) as response:
-            return response.status, response.read()
-
-    def test_healthz_and_listings(self, served):
-        base, _grid = served
-        status, body = self._get(f"{base}/healthz")
-        assert status == 200
-        document = json.loads(body)
-        assert document["status"] == "ok" and document["runs"] == 4
-
-        status, body = self._get(f"{base}/api/runs")
-        assert status == 200 and len(json.loads(body)["runs"]) == 4
-
-        status, body = self._get(f"{base}/api/grids")
-        grids = json.loads(body)["grids"]
-        assert [g["name"] for g in grids] == ["store-sweep"]
-
-    def test_run_detail_carries_spec_and_payload(self, served, store):
-        base, grid = served
-        run = store.runs()[0]
-        status, body = self._get(f"{base}/api/runs/{run.spec_hash}/{run.seed}")
-        document = json.loads(body)
-        assert status == 200
-        assert document["signature"] == run.signature
-        assert document["payload"]["signature"] == run.signature
-        assert document["spec"]["name"] == "store-base"
-
-    def test_grid_csv_matches_report_bundle(self, served, tmp_path):
-        base, grid = served
-        paths = grid.write_report(str(tmp_path / "bundle"))
-        _status, served_csv = self._get(f"{base}/api/grids/store-sweep/grid.csv")
-        with open(paths["grid.csv"], "rb") as handle:
-            assert handle.read() == served_csv
-        _status, served_sigs = self._get(f"{base}/api/grids/store-sweep/signatures")
-        with open(paths["signatures.txt"], "rb") as handle:
-            assert handle.read() == served_sigs
-
-    def test_unknown_endpoint_is_a_json_404(self, served):
-        base, _grid = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{base}/api/nope")
-        assert excinfo.value.code == 404
-        assert json.loads(excinfo.value.read())["error"].startswith("no such endpoint")
-
-    @pytest.mark.parametrize("endpoint", ["runs", "metrics"])
-    def test_non_integer_seed_is_a_400_and_a_missing_run_a_404(self, served, store, endpoint):
-        base, _grid = served
-        run = store.runs()[0]
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{base}/api/{endpoint}/{run.spec_hash}/x")
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"] == "seed must be an integer"
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{base}/api/{endpoint}/{run.spec_hash}/{run.seed + 1000}")
-        assert excinfo.value.code == 404
-
-    def test_dashboard_serves_html(self, served):
-        base, _grid = served
-        status, body = self._get(f"{base}/")
-        assert status == 200
-        assert b"grid heatmaps" in body
 
 
 class TestPayloadRoundTrips:

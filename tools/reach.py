@@ -6,15 +6,14 @@ Usage::
     python tools/reach.py
 
 Each command of :func:`chains` runs in its own child process (two at a
-time) under a ``sys.setprofile`` / ``threading.setprofile`` hook that
-records every code object entered, so the HTTP handler threads of
-``scenario serve`` count, and forked grid workers inherit the hook.  Every process writes ``<pid>.json``
-as it leaves, through ``os._exit`` as well: ``python -m repro`` and pool
-workers leave that way, so ``atexit`` alone would miss them.  The merge step
-prints each function defined under ``src/repro`` that no process entered,
-by module with its line count, and exits 1 when there are more than
-:data:`BUDGET`.  Only the standard library and the repository's own
-dependencies are needed.
+time) under a ``sys.setprofile`` hook that records every code object
+entered; forked grid workers inherit the hook.  Every process writes
+``<pid>.json`` as it leaves, through ``os._exit`` as well: ``python -m
+repro`` and pool workers leave that way, so ``atexit`` alone would miss
+them.  The merge step prints each function defined under ``src/repro`` that
+no process entered, by module with its line count, and exits 1 when there
+are more than :data:`BUDGET`.  Only the standard library and the
+repository's own dependencies are needed.
 """
 
 from __future__ import annotations
@@ -26,14 +25,9 @@ import json
 import os
 import re
 import runpy
-import socket
 import subprocess
 import sys
 import tempfile
-import threading
-import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Tuple
 
@@ -71,7 +65,6 @@ def install(outdir: str, prefix: str) -> None:
 
     os._exit = exit_after_dump
     atexit.register(dump)
-    threading.setprofile(hook)
     sys.setprofile(hook)
 
 
@@ -107,45 +100,9 @@ def never_entered(outdir: str, prefix: str) -> List[Tuple[str, int, str, int]]:
             if (path, line, name.rsplit(".", 1)[-1]) not in entered]
 
 
-def serve_client(argv: List[str]) -> None:
-    """Run ``scenario serve`` in a thread and request every endpoint once."""
-    from repro.cli import main
-
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    threading.Thread(target=main, args=(argv + ["--port", str(port)],), daemon=True).start()
-    base = f"http://127.0.0.1:{port}"
-
-    def get(path: str) -> bytes:
-        try:
-            with urllib.request.urlopen(base + path, timeout=30) as response:
-                return response.read()
-        except urllib.error.HTTPError as error:
-            return error.read()
-
-    for _ in range(100):
-        try:
-            get("/healthz")
-            break
-        except OSError:
-            time.sleep(0.1)
-    run = json.loads(get("/api/runs"))["runs"][0]
-    key = f"{run['spec_hash']}/{run['seed']}"
-    grid = json.loads(get("/api/grids"))["grids"][0]["sweep_hash"]
-    trace = json.loads(get("/api/trace"))["files"][0]["name"]
-    for path in ("/", f"/api/runs/{key}", f"/api/runs/{run['spec_hash']}/x", f"/api/grids/{grid}",
-                 f"/api/grids/{grid}/grid.csv", f"/api/grids/{grid}/signatures", "/api/metrics",
-                 f"/api/metrics/{key}", f"/api/trace/{trace}", "/api/nothing"):
-        get(path)
-
-
 def child(outdir: str, argv: List[str]) -> None:
     install(outdir, PACKAGE)
     sys.path.insert(0, SRC)
-    if argv[0] == "serve":
-        serve_client(argv[1:])
-        return
     sys.argv = argv[1:] if argv[0] == "-m" else argv
     try:
         if argv[0] == "-m":
@@ -155,6 +112,30 @@ def child(outdir: str, argv: List[str]) -> None:
     except SystemExit as stop:
         if stop.code:
             raise
+
+
+#: Spec files for ``scenario run --spec``: custom runs reaching what no registry
+#: scenario does (FedAvgM, the random role policy, shard partitioning, an
+#: untrained run on a tier-mixed fleet under central clustering).
+CUSTOM_RUNS = {
+    "fedavgm-random.json": {
+        "name": "fedavgm-random", "seed": 9,
+        "fleet": {"num_clients": 6},
+        "topology": {"regions": 2, "role_policy": "random"},
+        "training": {"rounds": 2, "local_epochs": 3, "dataset_samples": 600,
+                     "client_data_fraction": 0.02, "aggregation": "fedavgm",
+                     "round_deadline_s": None},
+    },
+    "central-shard.json": {
+        "name": "central-shard",
+        "fleet": {"num_clients": 6,
+                  "tier_mix": {"laptop": 0.35, "phone": 0.40, "rpi": 0.20, "server": 0.05}},
+        "topology": {"clustering": "central"},
+        "training": {"rounds": 2, "local_epochs": 3, "dataset_samples": 4000,
+                     "client_data_fraction": 0.02, "partition": "shard",
+                     "train_for_real": False, "round_deadline_s": None},
+    },
+}
 
 
 def chains(work: str) -> List[Tuple[str, List[List[str]]]]:
@@ -177,12 +158,12 @@ def chains(work: str) -> List[Tuple[str, List[List[str]]]]:
         result += [(os.path.join(work, name), group) for group in groups]
     result.append((work, [repro + ["list"]]))
     result += [(work, [repro + ["ablation", name]]) for name in ABLATIONS]
-    result += [(work, [repro + ["run", "--clients", "6", "--rounds", "2", "--regions", "2",
-                                "--dataset-samples", "600", "--aggregation", "fedavgm",
-                                "--role-policy", "random", "--seed", "9"]]),
-               (work, [repro + ["run", "--clients", "6", "--rounds", "2", "--policy", "central",
-                                "--partition", "shard", "--heterogeneous", "--no-train"]]),
-               (work, [repro + ["scenario", "schema", "--check",
+    for file, spec in CUSTOM_RUNS.items():
+        path = os.path.join(work, "specs", file)
+        with open(path, "w") as handle:
+            json.dump(spec, handle)
+        result.append((work, [repro + ["scenario", "run", "--spec", path, "--no-store"]]))
+    result += [(work, [repro + ["scenario", "schema", "--check",
                                 os.path.join(ROOT, "docs", "scenario-spec.md")]]),
                (work, [repro + ["scenario", "sweep", "baseline", "--seeds", "1", "--no-store"]])]
     store = ["--store", "s.sqlite"]
@@ -197,7 +178,6 @@ def chains(work: str) -> List[Tuple[str, List[List[str]]]]:
         repro + ["scenario", "store", "ls"] + store,
         repro + ["scenario", "store", "show", "{run}", "--seed", "7"] + store,
         repro + ["scenario", "store", "show", "grid-smoke"] + store,
-        ["serve", "scenario", "serve", "--trace-dir", "trace"] + store,
         repro + ["scenario", "store", "gc", "--scenario", "heavy-churn"] + store,
         repro + ["scenario", "store", "gc", "--all"] + store]))
     examples = sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
