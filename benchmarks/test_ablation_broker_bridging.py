@@ -38,8 +38,8 @@ def test_broker_bridging(benchmark, bench_fast):
     single, bridged = rows[0], rows[1]
     assert single["num_regions"] == 1 and bridged["num_regions"] == 3
 
-    # Identical learning outcome.
-    assert abs(single["final_accuracy"] - bridged["final_accuracy"]) < 1e-9
+    # Timing-only: nothing is trained, so no accuracy is reported.
+    assert all("final_accuracy" not in row for row in rows)
 
     # The single broker delivers everything itself; with bridging the delivery
     # fan-out is spread across the regional brokers.

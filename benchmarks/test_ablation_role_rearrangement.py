@@ -46,5 +46,5 @@ def test_role_rearrangement_under_memory_drift(benchmark, bench_fast):
     assert memory_aware["overflow_events"] <= static["overflow_events"]
     assert memory_aware["total_delay_s"] <= static["total_delay_s"] * 1.05
 
-    # All runs complete the same learning task.
-    assert all(0.0 <= row["final_accuracy"] <= 1.0 for row in rows)
+    # Timing-only: nothing is trained, so no accuracy is reported.
+    assert all("final_accuracy" not in row for row in rows)

@@ -523,25 +523,36 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.scenario_command == "trace":
         return _cmd_scenario_trace(args)
 
+    # Resolve what to run before opening the store: a mistyped name or a bad
+    # spec file exits 2 without creating the store (or importing sqlite3).
+    if args.scenario_command == "run":
+        if args.spec is not None:
+            from repro.scenarios.spec import ScenarioSpec
+
+            spec = _load_spec_file(args, ScenarioSpec.from_dict)
+        elif args.name is not None:
+            if args.name not in scenario_names():
+                print(
+                    f"unknown scenario {args.name!r}; "
+                    f"available: {', '.join(scenario_names())}",
+                    file=sys.stderr,
+                )
+                return 2
+            spec = args.name
+        else:
+            print("scenario run needs a name or --spec FILE", file=sys.stderr)
+            return 2
+    else:  # sweep
+        names = args.names or scenario_names()
+        unknown = [n for n in names if n not in scenario_names()]
+        if unknown:
+            print(f"unknown scenario(s): {', '.join(unknown)}; "
+                  f"available: {', '.join(scenario_names())}", file=sys.stderr)
+            return 2
+
     runner = _make_runner(args)
     try:
         if args.scenario_command == "run":
-            if args.spec is not None:
-                from repro.scenarios.spec import ScenarioSpec
-
-                spec = _load_spec_file(args, ScenarioSpec.from_dict)
-            elif args.name is not None:
-                if args.name not in scenario_names():
-                    print(
-                        f"unknown scenario {args.name!r}; "
-                        f"available: {', '.join(scenario_names())}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                spec = args.name
-            else:
-                print("scenario run needs a name or --spec FILE", file=sys.stderr)
-                return 2
             result = runner.run(spec, seed=args.seed, trace_dir=args.trace)
             _log_store_status(runner, result)
             if args.trace is not None:
@@ -561,13 +572,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print(f"signature: {result.signature}")
             return 0
 
-        # sweep
-        names = args.names or scenario_names()
-        unknown = [n for n in names if n not in scenario_names()]
-        if unknown:
-            print(f"unknown scenario(s): {', '.join(unknown)}; "
-                  f"available: {', '.join(scenario_names())}", file=sys.stderr)
-            return 2
         results = runner.run_suite(names, seeds=args.seeds)
         print(f"Scenario sweep: {len(results)} run(s)\n")
         print(runner.format_summary(results))

@@ -9,7 +9,7 @@ are encoded into JSON format").
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.core.roles import Role
@@ -23,6 +23,15 @@ __all__ = [
     "RoleAssignment",
     "ClientStatsReport",
 ]
+
+
+def _to_dict(message: Any) -> Dict[str, Any]:
+    """``dataclasses.asdict`` for these flat messages, without its deep copy.
+
+    Every field is a scalar except :attr:`RoleAssignment.children`, which its
+    ``to_dict`` copies: same keys, same order, same wire bytes.
+    """
+    return {f.name: getattr(message, f.name) for f in fields(message)}
 
 
 @dataclass
@@ -54,7 +63,7 @@ class SessionRequest:
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize for transmission."""
-        return asdict(self)
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SessionRequest":
@@ -71,7 +80,7 @@ class SessionAck:
     reason: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _to_dict(self)
 
 
 @dataclass
@@ -86,7 +95,7 @@ class JoinRequest:
     num_samples: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JoinRequest":
@@ -104,7 +113,7 @@ class JoinAck:
     contributors: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _to_dict(self)
 
 
 @dataclass
@@ -128,7 +137,9 @@ class RoleAssignment:
     level: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        data = _to_dict(self)
+        data["children"] = list(self.children)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RoleAssignment":
@@ -155,7 +166,7 @@ class ClientStatsReport:
     local_accuracy: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClientStatsReport":

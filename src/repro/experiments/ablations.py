@@ -184,7 +184,6 @@ def run_role_rearrangement(
                 "total_delay_s": result.total_delay_s,
                 "overflow_events": int(sum(r.overflow_events for r in result.rounds)),
                 "role_changes": result.role_changes_total,
-                "final_accuracy": result.final_accuracy,
             }
         )
     return rows
@@ -233,7 +232,6 @@ def run_broker_bridging(
                 "bridged_messages": int(
                     sum(b.forwarded_local_to_remote + b.forwarded_remote_to_local for b in experiment.bridges)
                 ),
-                "final_accuracy": result.final_accuracy,
                 "per_broker_delivered_bytes": per_broker_delivered,
             }
         )

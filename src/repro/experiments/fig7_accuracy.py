@@ -20,10 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.baselines.offline import OfflineTrainingBaseline
-from repro.ml.data import train_test_split
-from repro.ml.datasets import SyntheticDigitsConfig, synthetic_digits
-from repro.runtime.experiment import TEST_FRACTION, ExperimentConfig, FLExperiment
-from repro.utils.rng import SeedSequenceFactory
+from repro.runtime.experiment import ExperimentConfig, FLExperiment, draw_split
 from repro.utils.validation import require_positive
 
 __all__ = ["Fig7Config", "Fig7Result", "run_fig7"]
@@ -98,7 +95,6 @@ def run_fig7(config: Fig7Config | None = None) -> Fig7Result:
     """Run both sides of the Fig. 7 comparison and return the series."""
     config = (config or Fig7Config()).effective()
     require_positive(config.fl_rounds, "fl_rounds")
-    seeds = SeedSequenceFactory(config.seed)
 
     # --- SDFL side: the full SDFLMQ stack ---------------------------------
     fl_config = ExperimentConfig(
@@ -116,16 +112,12 @@ def run_fig7(config: Fig7Config | None = None) -> Fig7Result:
         train_for_real=True,
         seed=config.seed,
     )
-    experiment = FLExperiment(fl_config)
+    # Both sides train and test on one split, drawn once.
+    train_set, test_set = draw_split(fl_config)
+    experiment = FLExperiment(fl_config, split=(train_set, test_set))
     fl_result = experiment.run()
 
     # --- Offline side: same model, 5x the data in one pipeline ------------
-    dataset = synthetic_digits(
-        SyntheticDigitsConfig(num_samples=config.dataset_samples, seed=seeds.seed("dataset"))
-    )
-    train_set, test_set = train_test_split(
-        dataset, test_fraction=TEST_FRACTION, rng=seeds.generator("split")
-    )
     offline = OfflineTrainingBaseline(
         train_set=train_set,
         test_set=test_set,

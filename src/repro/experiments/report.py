@@ -120,18 +120,22 @@ def grid_summary_rows(cells: Sequence[object]) -> List[Dict[str, object]]:
 
     The leading columns are the cell index and its grid coordinates (one
     column per axis path), so the table reads like the cartesian product it
-    came from; the remaining columns are the run's headline metrics.
+    came from; the remaining columns are the run's headline metrics.  A
+    timing-only cell (``final_accuracy is None``) has no accuracy: the column
+    is left out when no cell has one, and left blank in a cell without one.
     """
+    with_accuracy = any(cell.final_accuracy is not None for cell in cells)
     rows: List[Dict[str, object]] = []
     for cell in cells:
         row: Dict[str, object] = {"cell": cell.index}
         for path, value in cell.coordinates.items():
             row[path] = value if not isinstance(value, (dict, list)) else _compact_json(value)
+        row["seed"] = cell.seed
+        row["rounds"] = cell.rounds_completed
+        if with_accuracy:
+            row["accuracy"] = "" if cell.final_accuracy is None else cell.final_accuracy
         row.update(
             {
-                "seed": cell.seed,
-                "rounds": cell.rounds_completed,
-                "accuracy": cell.final_accuracy,
                 "total_s": cell.total_s,
                 "messaging_s": cell.messaging_s,
                 "planning_s": cell.planning_s,
@@ -210,8 +214,10 @@ def grid_seed_aggregate_rows(cells: Sequence[object]) -> List[Dict[str, object]]
     reads as one row with its across-seed variability attached.
 
     Returns ``[]`` when the cells carry no ``seed`` coordinate — the caller
-    can treat the presence of rows as "this grid was seed-swept".
+    can treat the presence of rows as "this grid was seed-swept".  Timing-only
+    cells get no accuracy columns, as in :func:`grid_summary_rows`.
     """
+    with_accuracy = any(cell.final_accuracy is not None for cell in cells)
     groups: Dict[Tuple[Tuple[str, object], ...], List[object]] = {}
     for cell in cells:
         if "seed" not in cell.coordinates:
@@ -230,8 +236,16 @@ def grid_seed_aggregate_rows(cells: Sequence[object]) -> List[Dict[str, object]]
             row[path] = value if not isinstance(value, (dict, list)) else _compact_json(value)
         row["seeds"] = len(group)
         for attribute, with_std in _SEED_AGGREGATE_METRICS:
-            values = [float(getattr(cell, attribute)) for cell in group]
+            if attribute == "final_accuracy" and not with_accuracy:
+                continue
             label = _SEED_AGGREGATE_LABELS.get(attribute, attribute)
+            values = [getattr(cell, attribute) for cell in group]
+            if None in values:  # timing-only cells beside measured ones
+                row[f"{label}_mean"] = ""
+                if with_std:
+                    row[f"{label}_std"] = ""
+                continue
+            values = [float(value) for value in values]
             row[f"{label}_mean"] = mean(values)
             if with_std:
                 row[f"{label}_std"] = pstdev(values)

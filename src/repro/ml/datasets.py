@@ -81,14 +81,24 @@ def _smooth_prototype(rng: np.random.Generator, side: int) -> np.ndarray:
     return blurred
 
 
-def synthetic_digits(config: SyntheticDigitsConfig | None = None) -> ArrayDataset:
-    """Generate the synthetic MNIST-like dataset described in the module docstring."""
+def synthetic_digits(
+    config: SyntheticDigitsConfig | None = None, pixels: bool = True
+) -> ArrayDataset:
+    """Generate the synthetic MNIST-like dataset described in the module docstring.
+
+    ``pixels=False`` is the labels-only draw for runs that never read a
+    feature: the prototypes and labels come off the generator exactly as in
+    the full draw (so every label, split and partition is the same), and the
+    features are a zero-width ``(num_samples, 0)`` matrix.
+    """
     config = config or SyntheticDigitsConfig()
     rng = rng_from_seed(config.seed, "synthetic_digits")
     side = config.side
     prototypes = np.stack([_smooth_prototype(rng, side) for _ in range(config.num_classes)])
 
     labels = rng.integers(0, config.num_classes, size=config.num_samples)
+    if not pixels:
+        return ArrayDataset(np.empty((config.num_samples, 0)), labels.astype(np.int64))
     shifts = rng.integers(-config.max_shift, config.max_shift + 1, size=(config.num_samples, 2))
     scales = rng.uniform(0.8, 1.2, size=config.num_samples)
     noise = rng.normal(0.0, config.noise, size=(config.num_samples, side, side))
@@ -101,11 +111,15 @@ def synthetic_digits(config: SyntheticDigitsConfig | None = None) -> ArrayDatase
     samples = prototypes[labels[:, None, None], rows, cols]
     samples *= scales[:, None, None]
     samples += noise
+    del noise
     features = samples.reshape(config.num_samples, side * side)
 
-    # Standardize features globally (mirrors torchvision's MNIST normalization).
+    # Standardize features globally (mirrors torchvision's MNIST normalization),
+    # in place: the same IEEE operations as ``(features - mean) / std`` without
+    # two dataset-sized temporaries.
     mean = features.mean()
     std = features.std()
     if std > 0:
-        features = (features - mean) / std
+        features -= mean
+        features /= std
     return ArrayDataset(features, labels.astype(np.int64))

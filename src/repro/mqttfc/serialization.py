@@ -172,6 +172,11 @@ def _decode_node(node: Any, buffers: List[memoryview], copy_arrays: bool) -> Any
     return node
 
 
+#: The compact header encoder, built once: ``json.dumps`` with a non-default
+#: keyword builds a fresh ``JSONEncoder`` on every call.
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_payload_frame(obj: Any) -> PayloadFrame:
     """Encode ``obj`` into a segmented :class:`PayloadFrame` (zero leaf copies).
 
@@ -186,7 +191,7 @@ def encode_payload_frame(obj: Any) -> PayloadFrame:
         "structure": structure,
         "buffer_lengths": [b.nbytes for b in buffers],
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    header_bytes = _HEADER_ENCODER.encode(header).encode("utf-8")
     prefix = MAGIC + len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little") + header_bytes
     return PayloadFrame([prefix, *buffers])
 

@@ -26,6 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.runtime.delay": ("CriticalPathDelayModel", "RoundDelayBreakdown"),
         "repro.runtime.experiment": (
             "ExperimentConfig", "FLExperiment", "ExperimentResult", "RoundResult",
+            "draw_split",
         ),
     },
 )

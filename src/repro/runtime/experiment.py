@@ -19,7 +19,7 @@ quantity Fig. 8 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.sim.resources import ResourceAccountant
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import require_in_range, require_positive
 
-__all__ = ["ExperimentConfig", "RoundResult", "ExperimentResult", "FLExperiment"]
+__all__ = ["ExperimentConfig", "RoundResult", "ExperimentResult", "FLExperiment", "draw_split"]
 
 #: Side of the synthetic digit images; the model's input is its square.
 INPUT_SIDE = 16
@@ -158,8 +158,10 @@ class RoundResult:
     """Metrics for one completed FL round."""
 
     round_index: int
-    test_accuracy: float
-    test_loss: float
+    #: Global-model accuracy and loss on the test split; ``None`` in a
+    #: timing-only run (``train_for_real=False``), which evaluates nothing.
+    test_accuracy: Optional[float]
+    test_loss: Optional[float]
     mean_train_loss: float
     delay: RoundDelayBreakdown
     traffic_bytes: int
@@ -185,7 +187,7 @@ class ExperimentResult:
 
     config: ExperimentConfig
     rounds: List[RoundResult]
-    final_accuracy: float
+    final_accuracy: Optional[float]
     total_delay_s: float
     total_traffic_bytes: int
     total_messages: int
@@ -193,21 +195,48 @@ class ExperimentResult:
     role_changes_total: int
 
     @property
-    def accuracies(self) -> List[float]:
-        """Per-round test accuracies in order."""
+    def accuracies(self) -> List[Optional[float]]:
+        """Per-round test accuracies in order (``None`` when timing-only)."""
         return [r.test_accuracy for r in self.rounds]
 
 
+def draw_split(config: ExperimentConfig) -> Tuple[ArrayDataset, ArrayDataset]:
+    """The ``(train, test)`` split an experiment with ``config`` partitions.
+
+    A timing-only config (``train_for_real=False``) reads sample counts and
+    nothing else, so it draws labels without pixels: the split, selection
+    and partitions see the same labels and produce the same counts.
+    """
+    seeds = SeedSequenceFactory(config.seed)
+    dataset = synthetic_digits(
+        SyntheticDigitsConfig(
+            num_samples=config.dataset_samples,
+            num_classes=NUM_CLASSES,
+            side=INPUT_SIDE,
+            seed=seeds.seed("dataset"),
+        ),
+        pixels=config.train_for_real,
+    )
+    return train_test_split(dataset, test_fraction=TEST_FRACTION, rng=seeds.generator("split"))
+
+
 class FLExperiment:
-    """Builds and runs one complete SDFLMQ federated-learning experiment."""
+    """Builds and runs one complete SDFLMQ federated-learning experiment.
+
+    ``split`` hands over the ``(train, test)`` pair that :func:`draw_split`
+    returns for ``config``, for a caller that also reads it (``fig7``'s
+    offline side); by default setup draws it and keeps only the test half.
+    """
 
     def __init__(
         self,
         config: Optional[ExperimentConfig] = None,
         cost_model: Optional[CostModel] = None,
+        split: Optional[Tuple[ArrayDataset, ArrayDataset]] = None,
     ) -> None:
         self.config = config or ExperimentConfig()
         self.seeds = SeedSequenceFactory(self.config.seed)
+        self._split = split
         self._built = False
 
         # Populated by setup()
@@ -246,18 +275,10 @@ class FLExperiment:
 
     def _build_datasets(self) -> None:
         config = self.config
-        dataset = synthetic_digits(
-            SyntheticDigitsConfig(
-                num_samples=config.dataset_samples,
-                num_classes=NUM_CLASSES,
-                side=INPUT_SIDE,
-                seed=self.seeds.seed("dataset"),
-            )
-        )
-        train_set, test_set = train_test_split(
-            dataset, test_fraction=TEST_FRACTION, rng=self.seeds.generator("split")
-        )
-        self.test_set = test_set
+        # Partitioning copies the rows it keeps: hold no reference to the
+        # train half past this point.
+        train_set, self.test_set = self._split or draw_split(config)
+        self._split = None
 
         per_client = max(1, int(round(len(train_set) * config.client_data_fraction)))
         needed = min(len(train_set), per_client * config.num_clients)
@@ -527,13 +548,14 @@ class FLExperiment:
         for client in self.participants():
             client.wait_global_update(session_id)
 
-        # Evaluate the freshly synchronized global model on the held-out set.
+        # Evaluate the freshly synchronized global model on the held-out set
+        # (a timing-only run has no pixels to evaluate on).
         survivors = self.participants()
         if not survivors:
             raise RuntimeError(f"round {round_index}: every participant dropped mid-round")
         reference_client = survivors[0]
         reference = self.client_models[reference_client.client_id]
-        evaluation = reference.evaluate(self.test_set)
+        evaluation = reference.evaluate(self.test_set) if config.train_for_real else None
 
         payload_bytes = reference_client.models.record(session_id).payload_nbytes
         num_parameters = reference.num_parameters
@@ -578,8 +600,8 @@ class FLExperiment:
 
         return RoundResult(
             round_index=round_index,
-            test_accuracy=float(evaluation["accuracy"]),
-            test_loss=float(evaluation["loss"]),
+            test_accuracy=float(evaluation["accuracy"]) if evaluation else None,
+            test_loss=float(evaluation["loss"]) if evaluation else None,
             mean_train_loss=mean_loss,
             delay=delay,
             traffic_bytes=self._total_traffic_bytes() - traffic_before,
@@ -835,11 +857,10 @@ class FLExperiment:
         for round_index in range(self.config.fl_rounds):
             rounds.append(self.run_round(round_index))
 
-        final_accuracy = rounds[-1].test_accuracy if rounds else 0.0
         return ExperimentResult(
             config=self.config,
             rounds=rounds,
-            final_accuracy=final_accuracy,
+            final_accuracy=rounds[-1].test_accuracy,
             total_delay_s=float(sum(r.delay.total_s for r in rounds)),
             total_traffic_bytes=int(sum(r.traffic_bytes for r in rounds)),
             total_messages=int(sum(r.messages_routed for r in rounds)),

@@ -97,6 +97,28 @@ def _plain(value: object) -> object:
     return plain(value)
 
 
+def _stored_accuracy(payload: Mapping[str, object], trained: bool) -> Optional[float]:
+    """A stored run's final accuracy; ``None`` for a timing-only run.
+
+    Keyed off the spec rather than the payload: a timing-only payload holds
+    ``null`` here, but one an older revision stored holds the untrained
+    model's number, and both must render alike.
+    """
+    value = payload["final_accuracy"]
+    return float(value) if trained and value is not None else None
+
+
+def _stored_round_rows(
+    payload: Mapping[str, object], trained: bool
+) -> List[Dict[str, object]]:
+    """A stored run's per-round rows, without accuracy for a timing-only run."""
+    rows = [dict(row) for row in payload["round_rows"]]
+    if not trained:
+        for row in rows:
+            row.pop("accuracy", None)
+    return rows
+
+
 @dataclass
 class ScenarioResult:
     """Outcome of one scenario run.
@@ -147,10 +169,20 @@ class ScenarioResult:
         return len(self.rounds)
 
     @property
-    def final_accuracy(self) -> float:
-        """Test accuracy after the last completed round (0.0 if none ran)."""
+    def trained(self) -> bool:
+        """False for a timing-only run, which measures no accuracy."""
+        return self.spec.training.train_for_real
+
+    @property
+    def final_accuracy(self) -> Optional[float]:
+        """Test accuracy after the last completed round (0.0 if none ran).
+
+        ``None`` for a timing-only run.
+        """
         if self.stored_payload is not None:
-            return float(self.stored_payload["final_accuracy"])
+            return _stored_accuracy(self.stored_payload, self.trained)
+        if not self.trained:
+            return None
         return self.rounds[-1].test_accuracy if self.rounds else 0.0
 
     @property
@@ -189,16 +221,22 @@ class ScenarioResult:
         return float(sum(r.aggregating_s for r in self.rounds))
 
     def round_rows(self) -> List[Dict[str, object]]:
-        """Per-round metric rows (rendered by ``format_table``)."""
+        """Per-round metric rows (rendered by ``format_table``).
+
+        A timing-only run has no ``accuracy`` column.
+        """
         if self.stored_payload is not None:
-            return [dict(row) for row in self.stored_payload["round_rows"]]
+            return _stored_round_rows(self.stored_payload, self.trained)
         rows: List[Dict[str, object]] = []
         for result in self.rounds:
-            rows.append(
+            row: Dict[str, object] = {
+                "round": result.round_index,
+                "participants": result.participants,
+            }
+            if self.trained:
+                row["accuracy"] = result.test_accuracy
+            row.update(
                 {
-                    "round": result.round_index,
-                    "participants": result.participants,
-                    "accuracy": result.test_accuracy,
                     "round_delay_s": result.delay.total_s,
                     "messaging_s": result.delay.messaging_s,
                     "planning_s": result.planning_s,
@@ -210,25 +248,35 @@ class ScenarioResult:
                     "stragglers_cut": result.stragglers_cut,
                 }
             )
+            rows.append(row)
         return rows
 
     def summary_row(self) -> Dict[str, object]:
-        """One-line summary row (the ``scenario sweep`` table format)."""
-        return {
+        """One-line summary row (the ``scenario sweep`` table format).
+
+        A timing-only run has no ``final_accuracy`` column.
+        """
+        row: Dict[str, object] = {
             "scenario": self.spec.name,
             "seed": self.seed,
             "rounds": self.rounds_completed,
-            "final_accuracy": self.final_accuracy,
-            "total_delay_s": self.total_delay_s,
-            "sim_time_s": self.final_sim_time_s,
-            "messages": self.messages_processed,
-            "traffic_bytes": self.total_traffic_bytes,
-            "dropped": self.clients_dropped,
-            "admitted": self.clients_admitted,
-            "cut": self.stragglers_cut,
-            "faults": self.faults_started,
-            "signature": self.signature[:12],
         }
+        if self.trained:
+            row["final_accuracy"] = self.final_accuracy
+        row.update(
+            {
+                "total_delay_s": self.total_delay_s,
+                "sim_time_s": self.final_sim_time_s,
+                "messages": self.messages_processed,
+                "traffic_bytes": self.total_traffic_bytes,
+                "dropped": self.clients_dropped,
+                "admitted": self.clients_admitted,
+                "cut": self.stragglers_cut,
+                "faults": self.faults_started,
+                "signature": self.signature[:12],
+            }
+        )
+        return row
 
     # ------------------------------------------------------- store payloads
 
@@ -307,7 +355,8 @@ class CellResult:
     seed: int
     signature: str
     rounds_completed: int
-    final_accuracy: float
+    #: ``None`` for a timing-only cell (see :attr:`ScenarioResult.final_accuracy`).
+    final_accuracy: Optional[float]
     total_s: float
     messaging_s: float
     planning_s: float
@@ -369,7 +418,7 @@ class CellResult:
                 "seed": int(self.seed),
                 "signature": self.signature,
                 "rounds_completed": int(self.rounds_completed),
-                "final_accuracy": float(self.final_accuracy),
+                "final_accuracy": self.final_accuracy,
                 "total_delay_s": float(self.total_s),
                 "total_messaging_s": float(self.messaging_s),
                 "total_planning_s": float(self.planning_s),
@@ -393,8 +442,12 @@ class CellResult:
         index: int,
         coordinates: Dict[str, object],
         payload: Mapping[str, object],
+        trained: bool = True,
     ) -> "CellResult":
-        """Rebuild a grid cell from a stored payload plus its grid position."""
+        """Rebuild a grid cell from a stored payload plus its grid position.
+
+        ``trained`` is the cell spec's ``training.train_for_real``.
+        """
         return cls(
             index=index,
             coordinates=dict(coordinates),
@@ -402,7 +455,7 @@ class CellResult:
             seed=int(payload["seed"]),
             signature=str(payload["signature"]),
             rounds_completed=int(payload["rounds_completed"]),
-            final_accuracy=float(payload["final_accuracy"]),
+            final_accuracy=_stored_accuracy(payload, trained),
             total_s=float(payload["total_delay_s"]),
             messaging_s=float(payload["total_messaging_s"]),
             planning_s=float(payload["total_planning_s"]),
@@ -415,7 +468,7 @@ class CellResult:
             clients_admitted=int(payload["clients_admitted"]),
             stragglers_cut=int(payload["stragglers_cut"]),
             faults_started=int(payload["faults_started"]),
-            round_rows=[dict(row) for row in payload["round_rows"]],
+            round_rows=_stored_round_rows(payload, trained),
             metrics=dict(payload.get("metrics", {})),
         )
 
@@ -841,7 +894,10 @@ class ScenarioRunner:
                     if stored is not None:
                         cached.append(
                             CellResult.from_payload(
-                                cell.index, dict(cell.coordinates), stored.payload
+                                cell.index,
+                                dict(cell.coordinates),
+                                stored.payload,
+                                trained=cell.spec.training.train_for_real,
                             )
                         )
                     else:

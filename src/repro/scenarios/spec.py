@@ -220,7 +220,13 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class TrainingSpec:
-    """The FL recipe: rounds, local training, data partitioning, deadlines."""
+    """The FL recipe: rounds, local training, data partitioning, deadlines.
+
+    ``train_for_real: false`` makes the run timing-only: clients skip local
+    training, the dataset is drawn as labels without pixels (the same
+    labels, so the same partitions and sample counts), the global model is
+    never evaluated, and the run's tables have no accuracy column.
+    """
 
     rounds: int = 3
     local_epochs: int = 1

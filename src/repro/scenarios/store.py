@@ -129,13 +129,14 @@ class StoredRun:
     hits: int
 
     def row(self) -> Dict[str, object]:
-        """One ``store ls`` table row."""
+        """One ``store ls`` table row (blank accuracy for a timing-only run)."""
+        accuracy = self.payload.get("final_accuracy")
         return {
             "spec_hash": self.spec_hash[:12],
             "seed": self.seed,
             "scenario": self.scenario,
             "rounds": self.payload.get("rounds_completed", ""),
-            "accuracy": self.payload.get("final_accuracy", ""),
+            "accuracy": "" if accuracy is None else accuracy,
             "signature": self.signature[:12],
             "hits": self.hits,
             "stored_at": time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.created_at)),

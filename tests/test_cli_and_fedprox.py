@@ -123,5 +123,7 @@ class TestCLICommands:
         assert main(["scenario", "run", "--spec", str(path), "--no-store"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("Scenario: custom (seed 5)")
-        assert "final_accuracy" in out and "messages" in out
+        assert "messages" in out
+        # Timing-only (train_for_real: false): no accuracy column anywhere.
+        assert "accuracy" not in out
         assert "signature: " in out

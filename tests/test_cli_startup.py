@@ -96,6 +96,24 @@ def test_a_no_store_run_loads_no_store_pool_or_figure_code(tmp_path):
     assert not modules.intersection(NOT_FOR_A_PLAIN_RUN)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "run", "nope"],
+        ["scenario", "run", "--spec", "missing.json"],
+        ["scenario", "run", "--spec", "invalid.json"],
+        ["scenario", "sweep", "baseline", "nope"],
+    ],
+    ids=["unknown-name", "missing-spec", "invalid-spec", "unknown-sweep-name"],
+)
+def test_a_refused_run_opens_no_store(argv, tmp_path):
+    (tmp_path / "invalid.json").write_text('{"name": "x", "fleet": {"num_clients": 0}}')
+    code, stderr, modules = _modules_after(argv, tmp_path)
+    assert code == 2 and stderr.strip()
+    assert not (tmp_path / ".repro").exists()
+    assert "sqlite3" not in modules
+
+
 def test_bare_import_loads_only_the_lazy_helper(tmp_path):
     done = _python(
         "import json, sys; import repro; "

@@ -133,6 +133,8 @@ class TestAblations:
         adaptive = next(r for r in rows if r["policy"] == "memory_aware")
         assert static["role_changes"] == 0
         assert adaptive["total_delay_s"] <= static["total_delay_s"] * 1.5
+        # Timing-only: nothing is trained, so no accuracy is reported.
+        assert all("final_accuracy" not in row for row in rows)
 
     def test_broker_bridging(self):
         rows = ablations.run_broker_bridging(num_clients=6, num_regions=3, fl_rounds=1)
@@ -142,7 +144,7 @@ class TestAblations:
         assert bridged["bridged_messages"] > 0
         assert bridged["busiest_broker_delivery_share"] < single["busiest_broker_delivery_share"]
         assert single["busiest_broker_delivery_share"] == pytest.approx(1.0)
-        assert bridged["final_accuracy"] == pytest.approx(single["final_accuracy"], abs=1e-12)
+        assert all("final_accuracy" not in row for row in rows)
 
     def test_topology_comparison(self):
         rows = ablations.run_topology_comparison(
