@@ -13,16 +13,8 @@ Run with::
 from __future__ import annotations
 
 import os
-import sys
 
 import pytest
-
-# The perf harness (tools/bench.py) owns the benchmark workload builders so
-# BENCH_*.json and the pytest suite always measure the same shapes; make it
-# importable as `bench` from the benchmark modules.
-_TOOLS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
-if _TOOLS_DIR not in sys.path:
-    sys.path.insert(0, _TOOLS_DIR)
 
 
 def fast_mode() -> bool:

@@ -6,7 +6,7 @@ vector, contributions multiply-added in roster order).  This bench pins:
 
 * numerical equivalence against the matrix reference path (bit-identical for
   the small fan-ins the scenarios produce; < 1e-9 worst case otherwise), and
-* the reduce-time figure that feeds ``tools/bench.py`` / ``BENCH_pr5.json``.
+* the streaming reduce time beside the matrix path's, printed.
 """
 
 from __future__ import annotations
@@ -14,16 +14,30 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from bench import build_contributions as _contributions
 from conftest import emit, fast_mode
 
-from repro.core.aggregation import FedAvg, _stack_contributions
+from repro.core.aggregation import FedAvg, ModelContribution, _stack_contributions
 from repro.ml.state import unflatten_state_dict
 
-# The workload builder lives in tools/bench.py so BENCH_*.json measures the
-# same contribution shapes this suite prints.
 NUM_CONTRIBUTIONS = 8 if fast_mode() else 24
 PARAMS = 100_000 if fast_mode() else 1_000_000
+
+
+def _contributions(num_contributions: int, params: int) -> list:
+    """``num_contributions`` model contributions of ~``params`` parameters."""
+    rng = np.random.default_rng(11)
+    rows = params // 128
+    return [
+        ModelContribution(
+            {
+                "w": rng.normal(size=(rows, 128)).astype(np.float32),
+                "b": rng.normal(size=128).astype(np.float32),
+            },
+            weight=float(rng.uniform(1, 40)),
+            sender_id=f"client_{i:03d}",
+        )
+        for i in range(num_contributions)
+    ]
 
 
 def test_streaming_matches_matrix_reference():

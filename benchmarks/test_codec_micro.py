@@ -11,9 +11,6 @@ regardless of machine speed.
 The decode side is pinned symmetrically: with ``copy_arrays=False`` every
 decoded ndarray leaf must be a read-only ``np.frombuffer`` view into the
 frame buffer.
-
-The MB/s figures printed here also feed ``tools/bench.py`` /
-``BENCH_pr5.json`` (the perf-trajectory baseline).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import time
 import tracemalloc
 
 import numpy as np
-from bench import build_codec_state as _state_dict
 from conftest import emit, fast_mode
 
 from repro.mqttfc.codecs import make_update_codec
@@ -32,9 +28,21 @@ from repro.mqttfc.serialization import (
 )
 
 #: ~10 MB of float32 parameters (the acceptance target for the zero-copy
-#: encode check), shrunk in fast mode.  The workload builder lives in
-#: tools/bench.py so BENCH_*.json measures the same shape.
+#: encode check), shrunk in fast mode.
 STATE_MB = 2 if fast_mode() else 10
+
+
+def _state_dict(payload_mb: int) -> dict:
+    """~``payload_mb`` MB of model parameters (float32-heavy, mixed dtypes)."""
+    rng = np.random.default_rng(7)
+    floats = payload_mb * 1024 * 1024 // 4
+    half = floats // 2
+    return {
+        "dense.weight": rng.normal(size=(half // 256, 256)).astype(np.float32),
+        "dense.bias": rng.normal(size=256).astype(np.float32),
+        "head.weight": rng.normal(size=(half // 64, 64)).astype(np.float32),
+        "head.bias": np.zeros(64, dtype=np.float64),
+    }
 
 
 def test_encode_is_zero_copy_per_leaf():

@@ -451,7 +451,7 @@ def _cmd_scenario_store(args: argparse.Namespace) -> int:
                     "seed": run.seed,
                     "scenario": run.scenario,
                     "signature": run.signature,
-                    "spec": store.run_spec(run.spec_hash, run.seed),
+                    "spec": run.spec,
                     "payload": run.payload,
                 }
             else:

@@ -15,7 +15,7 @@ one mechanism the paper describes and motivates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.baselines.centralized import CentralizedFedAvgBaseline
 from repro.baselines.gossip import GossipFLBaseline
 from repro.core.aggregation import ModelContribution, get_aggregator
 from repro.experiments.fig8_delay import FIG8_COST_MODEL
-from repro.ml.data import ArrayDataset, train_test_split
+from repro.ml.data import train_test_split
 from repro.ml.datasets import SyntheticDigitsConfig, synthetic_digits
 from repro.ml.models import ClassifierModel, make_paper_mlp
 from repro.ml.partition import dirichlet_partition
@@ -242,24 +242,6 @@ def run_broker_bridging(
 # FL topology comparison (Fig. 1 of the paper)
 # --------------------------------------------------------------------------
 
-def _shared_dataset(
-    num_clients: int, dataset_samples: int, client_fraction: float, seed: int
-) -> Tuple[Dict[str, ArrayDataset], ArrayDataset]:
-    """Build per-client shards + test set the same way FLExperiment does."""
-    seeds = SeedSequenceFactory(seed)
-    dataset = synthetic_digits(SyntheticDigitsConfig(num_samples=dataset_samples, seed=seeds.seed("dataset")))
-    train_set, test_set = train_test_split(dataset, test_fraction=0.15, rng=seeds.generator("split"))
-    per_client = max(1, int(round(len(train_set) * client_fraction)))
-    needed = min(len(train_set), per_client * num_clients)
-    selection = seeds.generator("selection").choice(len(train_set), size=needed, replace=False)
-    pool = train_set.subset(selection)
-    from repro.ml.partition import iid_partition
-
-    parts = iid_partition(pool, num_clients, rng=seeds.generator("partition"))
-    shards = {f"client_{i:03d}": pool.subset(part) for i, part in enumerate(parts)}
-    return shards, test_set
-
-
 def run_topology_comparison(
     num_clients: int = 6,
     fl_rounds: int = 4,
@@ -274,7 +256,20 @@ def run_topology_comparison(
     reports final accuracy and the simulated total delay (for the baselines
     the delay uses the same cost model the SDFL delay figure uses).
     """
-    shards, test_set = _shared_dataset(num_clients, dataset_samples, client_fraction, seed)
+    sdfl_config = ExperimentConfig(
+        name="topology-sdfl",
+        num_clients=num_clients,
+        fl_rounds=fl_rounds,
+        local_epochs=local_epochs,
+        dataset_samples=dataset_samples,
+        client_data_fraction=client_fraction,
+        clustering_policy="hierarchical",
+        seed=seed,
+    )
+    # The baselines train on the SDFL experiment's own shards and test set;
+    # they only read them.
+    sdfl_experiment = FLExperiment(sdfl_config).setup()
+    shards, test_set = sdfl_experiment.client_datasets, sdfl_experiment.test_set
 
     rows: List[Dict[str, object]] = []
 
@@ -304,17 +299,7 @@ def run_topology_comparison(
         }
     )
 
-    sdfl_config = ExperimentConfig(
-        name="topology-sdfl",
-        num_clients=num_clients,
-        fl_rounds=fl_rounds,
-        local_epochs=local_epochs,
-        dataset_samples=dataset_samples,
-        client_data_fraction=client_fraction,
-        clustering_policy="hierarchical",
-        seed=seed,
-    )
-    sdfl = FLExperiment(sdfl_config).run()
+    sdfl = sdfl_experiment.run()
     rows.append(
         {
             "topology": "sdflmq_hierarchical",

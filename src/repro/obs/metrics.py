@@ -78,7 +78,7 @@ class Histogram:
     def observe(self, value: float) -> None:
         # bisect_left returns the first bucket whose bound >= value (the
         # overflow slot when none is) at C speed — this runs once per
-        # scheduler delivery, and the obs_overhead_ratio bench gate bounds it.
+        # scheduler delivery of every ``scenario run``, inside its e2e wall.
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.total += value

@@ -232,8 +232,8 @@ class EventScheduler:
 
         self._trace = hashlib.sha256() if record_trace else None
         # Observability hooks (repro.obs).  Both default to detached so the
-        # per-event cost is one ``is None`` check; ``tools/bench.py`` gates
-        # the attached cost (``obs_overhead_ratio``).
+        # per-event cost is one ``is None`` check; every ``scenario run``
+        # attaches a registry, so its cost sits inside the e2e ``wall_s``.
         self.tracer: Optional[object] = None
         self._obs_observe: Optional[Callable[[float], None]] = None
 

@@ -117,20 +117,27 @@ def sweep_hash(sweep) -> str:
 
 @dataclass(frozen=True)
 class StoredRun:
-    """One stored scenario result (the plain-data payload plus its key)."""
+    """One stored scenario result (its spec and plain-data payload plus its key)."""
 
     spec_hash: str
     seed: int
     scenario: str
     signature: str
+    spec: Dict[str, object]
     payload: Dict[str, object]
     created_at: float
     last_used_at: float
     hits: int
 
     def row(self) -> Dict[str, object]:
-        """One ``store ls`` table row (blank accuracy for a timing-only run)."""
-        accuracy = self.payload.get("final_accuracy")
+        """One ``store ls`` table row (blank accuracy for a timing-only run).
+
+        Keyed off the spec, as ``scenario run`` and ``grid`` render stored
+        rows: a timing-only run an older revision stored holds the untrained
+        model's accuracy in its payload.
+        """
+        trained = self.spec["training"]["train_for_real"]
+        accuracy = self.payload.get("final_accuracy") if trained else None
         return {
             "spec_hash": self.spec_hash[:12],
             "seed": self.seed,
@@ -360,16 +367,6 @@ class ResultsStore:
         rows = self._db().execute(query, params).fetchall()
         return [self._run_from_row(row) for row in rows]
 
-    def run_spec(self, spec_hash: str, seed: int) -> Dict[str, object]:
-        """The canonical spec document stored with a run."""
-        row = self._db().execute(
-            "SELECT spec_json FROM runs WHERE spec_hash = ? AND seed = ?",
-            (spec_hash, int(seed)),
-        ).fetchone()
-        if row is None:
-            raise ResultsStoreError(f"no stored run {spec_hash[:12]}…/seed {seed}")
-        return json.loads(row["spec_json"])
-
     def resolve_run(self, prefix: str, seed: Optional[int] = None) -> StoredRun:
         """Find exactly one run by spec-hash prefix (CLI ``store show``)."""
         rows = self._db().execute(
@@ -397,6 +394,7 @@ class ResultsStore:
             seed=int(row["seed"]),
             scenario=row["scenario"],
             signature=row["signature"],
+            spec=json.loads(row["spec_json"]),
             payload=json.loads(row["payload_json"]),
             created_at=float(row["created_at"]),
             last_used_at=float(row["last_used_at"]),

@@ -7,6 +7,7 @@ against a small store holding one ``baseline`` run and one recorded grid.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -61,6 +62,25 @@ class TestStoreVerbs:
         assert "1 run(s), 1 grid(s)" in out
         assert template["key"][:12] in out and template["signature"][:12] in out
         assert "baseline" in out and "one-cell" in out
+
+    def test_ls_blanks_the_accuracy_of_a_timing_only_run(self, capsys, tmp_path):
+        # Both payloads hold a number, as an older revision stored a
+        # timing-only run: the untrained model's accuracy.
+        trained = get_scenario("baseline")
+        timing = dataclasses.replace(
+            trained, name="timing-only",
+            training=dataclasses.replace(trained.training, train_for_real=False))
+        path = str(tmp_path / "results.sqlite")
+        with ResultsStore(path) as store:
+            for spec, accuracy in ((trained, 0.8125), (timing, 0.1)):
+                store.put_run(spec_hash(spec), spec.seed, spec, "ab" * 32,
+                              {"rounds_completed": 3, "final_accuracy": accuracy})
+        code, out, _err = _run(capsys, ["scenario", "store", "ls", "--store", path])
+        assert code == 0
+        rows = {line.split()[2]: line.split() for line in out.splitlines()
+                if line.startswith((spec_hash(trained)[:12], spec_hash(timing)[:12]))}
+        assert rows["baseline"][3:5] == ["3", "0.8125"]
+        assert rows["timing-only"][3:5] == ["3", "abababababab"]
 
     def test_ls_filters_runs_by_scenario(self, capsys, store_path):
         code, out, _err = _run(

@@ -356,6 +356,47 @@ class TestCodecStats:
             for field in dataclasses.fields(CodecStats)
         )
 
+    def test_int8_ships_a_quarter_of_the_float32_bytes(self):
+        rng = np.random.default_rng(7)
+        state = {
+            "dense.weight": rng.normal(size=(512, 256)).astype(np.float32),
+            "dense.bias": rng.normal(size=256).astype(np.float32),
+        }
+        codec = make_update_codec("int8")
+        codec.encode_state(SESSION, state)
+        stats = codec.stats
+        assert (stats.updates_encoded, stats.tensors_encoded) == (1, 2)
+        assert stats.bytes_in == sum(array.nbytes for array in state.values())
+        # One byte per element; scale and zero ride as scalars, not arrays.
+        assert stats.bytes_out == stats.bytes_in // 4
+        assert stats.bytes_saved == stats.bytes_in - stats.bytes_out
+
+
+class TestScratchReuse:
+    """A warm scratch arena encodes exactly what a cold codec encodes."""
+
+    @staticmethod
+    def _state(seed):
+        rng = np.random.default_rng(seed)
+        return {
+            "dense.weight": rng.normal(size=(64, 32)).astype(np.float32),
+            "dense.bias": rng.normal(size=32).astype(np.float32),
+            "head.bias": rng.normal(size=8),
+        }
+
+    @staticmethod
+    def _wire(codec, state):
+        # The endpoint copies the scratch bytes out at publish time; so do we.
+        return encode_payload_frame({"state": codec.encode_state(SESSION, state)}).tobytes()
+
+    @pytest.mark.parametrize("spec", ["fp16", "int8", "topk=0.5+int8"])
+    def test_warm_encode_matches_a_cold_codec(self, spec):
+        state = self._state(1)
+        warm = make_update_codec(spec)
+        for seed in (2, 3):
+            self._wire(warm, self._state(seed))
+        assert self._wire(warm, state) == self._wire(make_update_codec(spec), state)
+
 
 class TestCodecDeterminism:
     """Scenario/grid determinism with codecs enabled, pinned to goldens."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from repro.experiments import ablations
 from repro.experiments.fig7_accuracy import Fig7Config, run_fig7
 from repro.experiments.fig8_delay import Fig8Config, run_fig8
 from repro.experiments.report import format_series, format_table, rows_to_markdown
+
+
+def _digest(client_datasets, test_set):
+    """One hash over every shard's and the test set's features and labels."""
+    digest = hashlib.sha256()
+    for name, dataset in sorted(client_datasets.items()) + [("test", test_set)]:
+        digest.update(name.encode())
+        digest.update(dataset.features.tobytes())
+        digest.update(dataset.labels.tobytes())
+    return digest.hexdigest()
 
 
 class TestReportRendering:
@@ -154,6 +166,37 @@ class TestAblations:
         assert topologies == {"centralized_fedavg", "decentralized_gossip", "sdflmq_hierarchical"}
         for row in rows:
             assert 0.0 <= row["final_accuracy"] <= 1.0
+
+    def test_topology_baselines_train_on_the_sdfl_experiments_data(self, monkeypatch):
+        handed = {}
+
+        class Experiment(ablations.FLExperiment):
+            def setup(self):
+                handed["sdfl"] = self
+                return super().setup()
+
+        def recording(name, cls):
+            class Recording(cls):
+                def __init__(self, client_datasets, test_set, **kwargs):
+                    handed[name] = (client_datasets, test_set, _digest(client_datasets, test_set))
+                    super().__init__(client_datasets, test_set, **kwargs)
+            return Recording
+
+        monkeypatch.setattr(ablations, "FLExperiment", Experiment)
+        monkeypatch.setattr(ablations, "CentralizedFedAvgBaseline",
+                            recording("centralized", ablations.CentralizedFedAvgBaseline))
+        monkeypatch.setattr(ablations, "GossipFLBaseline",
+                            recording("gossip", ablations.GossipFLBaseline))
+        ablations.run_topology_comparison(
+            num_clients=4, fl_rounds=1, local_epochs=1, dataset_samples=1200, client_fraction=0.05
+        )
+        sdfl = handed["sdfl"]
+        after = _digest(sdfl.client_datasets, sdfl.test_set)
+        for name in ("centralized", "gossip"):
+            shards, test_set, digest = handed[name]
+            assert shards is sdfl.client_datasets and test_set is sdfl.test_set
+            # Every topology only reads the shards: none of them is changed.
+            assert digest == after
 
     def test_aggregation_strategies(self):
         rows = ablations.run_aggregation_strategies(

@@ -411,7 +411,7 @@ class TestRunnerFlightRecorder:
 
     def test_untraced_run_attaches_no_tracer_cost_path(self):
         # The scheduler's tracer/histogram slots stay None-guarded when no
-        # registry or tracer is attached (the bench gate's assumption).
+        # registry or tracer is attached; an untraced run pays for neither.
         from repro.runtime.scheduler import EventScheduler
 
         scheduler = EventScheduler()

@@ -570,3 +570,73 @@ class TestCancelReleasesFifoClamp:
         assert [topic for topic, _ in arrivals] == ["small", "small"]
         arrival_times = [at for _, at in arrivals]
         assert arrival_times == sorted(arrival_times)
+
+
+def _command_fleet(num_clients, unicast_topics, registry=None):
+    """Every ``dev_i`` on ``fleet/all/cmd``, optionally also on ``fleet/dev_i/cmd``.
+
+    Returns the scheduler, the commander and the per-client received payloads.
+    """
+    clock = SimulationClock()
+    broker = MQTTBroker("fleet", network=NetworkModel(seed=3), clock=clock)
+    scheduler = EventScheduler(clock=clock)
+    scheduler.attach_broker(broker)
+    if registry is not None:
+        scheduler.attach_metrics(registry)
+    received = [[] for _ in range(num_clients)]
+    for index in range(num_clients):
+        client = MQTTClient(f"dev_{index:04d}")
+        client.connect(broker)
+        client.subscribe("fleet/all/cmd", QoS.AT_LEAST_ONCE)
+        if unicast_topics:
+            client.subscribe(f"fleet/dev_{index:04d}/cmd", QoS.AT_LEAST_ONCE)
+        client.on_message = lambda _c, m, index=index: received[index].append(m.payload)
+        scheduler.register(client)
+    commander = MQTTClient("commander")
+    commander.connect(broker)
+    return scheduler, commander, received
+
+
+class TestFleetDeliveryCounts:
+    """Broadcasts and unicast pings reach exactly their subscribers, once each."""
+
+    @pytest.mark.parametrize("num_clients, num_broadcasts", [(1, 1), (12, 5), (300, 4)])
+    def test_broadcast_and_unicast_reach_exactly_their_subscribers(
+            self, num_clients, num_broadcasts):
+        scheduler, commander, received = _command_fleet(num_clients, unicast_topics=True)
+        for round_index in range(num_broadcasts):
+            commander.publish("fleet/all/cmd", b"sync", qos=QoS.AT_LEAST_ONCE)
+            commander.publish(f"fleet/dev_{round_index:04d}/cmd", b"ping", qos=QoS.AT_LEAST_ONCE)
+            scheduler.run_until_idle()
+
+        assert sum(map(len, received)) == num_clients * num_broadcasts + num_broadcasts
+        for index, payloads in enumerate(received):
+            pinged = 1 if index < num_broadcasts else 0
+            assert sorted(payloads) == [b"ping"] * pinged + [b"sync"] * num_broadcasts
+
+    @pytest.mark.parametrize("num_clients", [4, 64])
+    def test_attached_registry_observes_every_delivery_and_changes_none(self, num_clients):
+        from repro.obs import MetricsRegistry
+
+        delivered = {}
+        registry = MetricsRegistry()
+        for attached in (None, registry):
+            scheduler, commander, received = _command_fleet(
+                num_clients, unicast_topics=False, registry=attached)
+            for _round in range(3):
+                commander.publish("fleet/all/cmd", b"sync", qos=QoS.AT_LEAST_ONCE)
+                scheduler.run_until_idle()
+            delivered[attached is None] = received
+
+        assert delivered[True] == delivered[False] == [[b"sync"] * 3] * num_clients
+        latency = registry.snapshot()["histograms"]["scheduler_delivery_latency_s"]
+        assert latency["count"] == 3 * num_clients
+
+    def test_fanout_hands_every_subscriber_the_published_buffer(self):
+        # One large broadcast shares its buffer across the fan-out; a copy
+        # per subscriber would multiply the payload by the fleet size.
+        payload = bytes(512 * 1024)
+        scheduler, commander, received = _command_fleet(40, unicast_topics=False)
+        commander.publish("fleet/all/cmd", payload, qos=QoS.AT_LEAST_ONCE)
+        scheduler.run_until_idle()
+        assert all(len(payloads) == 1 and payloads[0] is payload for payloads in received)

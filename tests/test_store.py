@@ -12,6 +12,7 @@ the atomic report-bundle rename, and files that are not a results store
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -134,9 +135,35 @@ class TestResultsStore:
         assert stored.payload == payload
         assert stored.signature == "ab" * 32
         assert stored.scenario == spec.name
-        assert store.run_spec(spec_hash(spec), spec.seed) == json.loads(
-            canonical_json(spec.as_dict())
-        )
+        assert stored.spec == json.loads(canonical_json(spec.as_dict()))
+
+    @pytest.mark.parametrize(
+        "train_for_real, payload, accuracy",
+        [
+            (True, {"rounds_completed": 2, "final_accuracy": 0.5}, 0.5),
+            # A timing-only run an older revision stored: the number is the
+            # untrained model's accuracy, so the row shows none.
+            (False, {"rounds_completed": 2, "final_accuracy": 0.1}, ""),
+            (True, {"rounds_completed": 2}, ""),
+        ],
+    )
+    def test_row_accuracy_follows_the_stored_spec(self, store, train_for_real, payload, accuracy):
+        base = _tiny_base()
+        spec = dataclasses.replace(
+            base, training=dataclasses.replace(base.training, train_for_real=train_for_real))
+        store.put_run(spec_hash(spec), spec.seed, spec, "sig", payload)
+        row = store.get_run(spec_hash(spec), spec.seed).row()
+        assert row["accuracy"] == accuracy
+        assert row["rounds"] == 2
+
+    def test_every_lookup_carries_the_stored_spec(self, store):
+        spec = _tiny_base()
+        key = spec_hash(spec)
+        store.put_run(key, spec.seed, spec, "sig", {"x": 1})
+        document = json.loads(canonical_json(spec.as_dict()))
+        assert store.get_run(key, spec.seed).spec == document
+        assert [run.spec for run in store.runs(scenario=spec.name)] == [document]
+        assert store.resolve_run(key[:8]).spec == document
 
     def test_get_miss_returns_none_and_hit_counts(self, store):
         spec = _tiny_base()
