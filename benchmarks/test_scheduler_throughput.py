@@ -107,30 +107,36 @@ def test_scheduler_throughput(benchmark, bench_fast):
     assert scheduler.now() > 0.0
 
 
+def _one_topic_fleet(num_clients: int, on_message=None):
+    """``num_clients`` devices ``dev_00000…`` subscribed only to ``fleet/all/cmd``
+    on a seed-3 broker, plus a connected ``commander``: ``(scheduler, commander)``."""
+    clock = SimulationClock()
+    broker = MQTTBroker("bench-broker", network=NetworkModel(seed=3), clock=clock)
+    scheduler = EventScheduler(clock=clock)
+    scheduler.attach_broker(broker)
+    for index in range(num_clients):
+        client = MQTTClient(f"dev_{index:05d}")
+        client.connect(broker)
+        client.subscribe("fleet/all/cmd", QoS.AT_LEAST_ONCE)
+        if on_message is not None:
+            client.on_message = on_message
+        scheduler.register(client)
+    commander = MQTTClient("commander")
+    commander.connect(broker)
+    return scheduler, commander
+
+
 def bench_scheduler_12k(num_clients: int, num_broadcasts: int):
     """Broadcast ``num_broadcasts`` times to ``num_clients`` single-topic subscribers.
 
     Returns ``(deliveries, wall_s)``; building the fleet is untimed.
     """
-    clock = SimulationClock()
-    broker = MQTTBroker("bench-broker", network=NetworkModel(seed=3), clock=clock)
-    scheduler = EventScheduler(clock=clock)
-    scheduler.attach_broker(broker)
-
     received = [0]
 
     def on_message(_c, _m):
         received[0] += 1
 
-    for index in range(num_clients):
-        client = MQTTClient(f"dev_{index:05d}")
-        client.connect(broker)
-        client.subscribe("fleet/all/cmd", QoS.AT_LEAST_ONCE)
-        client.on_message = on_message
-        scheduler.register(client)
-
-    commander = MQTTClient("commander")
-    commander.connect(broker)
+    scheduler, commander = _one_topic_fleet(num_clients, on_message)
 
     start = time.perf_counter()
     for _round in range(num_broadcasts):
@@ -171,22 +177,8 @@ def test_cancel_deliveries_zero_match_early_out(bench_fast):
     """
     num_clients = 500 if bench_fast else 4_000
 
-    def build():
-        clock = SimulationClock()
-        broker = MQTTBroker("bench-broker", network=NetworkModel(seed=3), clock=clock)
-        scheduler = EventScheduler(clock=clock)
-        scheduler.attach_broker(broker)
-        for index in range(num_clients):
-            client = MQTTClient(f"dev_{index:05d}")
-            client.connect(broker)
-            client.subscribe("fleet/all/cmd", QoS.AT_LEAST_ONCE)
-            scheduler.register(client)
-        commander = MQTTClient("commander")
-        commander.connect(broker)
-        commander.publish("fleet/all/cmd", b"sync", qos=QoS.AT_LEAST_ONCE)
-        return scheduler
-
-    scheduler = build()
+    scheduler, commander = _one_topic_fleet(num_clients)
+    commander.publish("fleet/all/cmd", b"sync", qos=QoS.AT_LEAST_ONCE)
     pending_before = scheduler.pending_delivery_count
     assert pending_before == num_clients
     heap_before = scheduler._heap
@@ -225,17 +217,7 @@ def test_steady_state_broadcasts_do_not_accumulate_allocations(bench_fast):
     round.
     """
     num_clients = 400 if bench_fast else 1_200
-    clock = SimulationClock()
-    broker = MQTTBroker("bench-broker", network=NetworkModel(seed=3), clock=clock)
-    scheduler = EventScheduler(clock=clock)
-    scheduler.attach_broker(broker)
-    for index in range(num_clients):
-        client = MQTTClient(f"dev_{index:05d}")
-        client.connect(broker)
-        client.subscribe("fleet/all/cmd", QoS.AT_LEAST_ONCE)
-        scheduler.register(client)
-    commander = MQTTClient("commander")
-    commander.connect(broker)
+    scheduler, commander = _one_topic_fleet(num_clients)
 
     def broadcast():
         commander.publish("fleet/all/cmd", b"sync", qos=QoS.AT_LEAST_ONCE)

@@ -2,7 +2,7 @@
 
 Every ``repro`` package re-exports its public names, but importing the
 package must not import the modules that define them: ``python -m repro
-scenario store ls`` reads sqlite rows and should not pay for numpy, the
+scenario store ls`` reads JSON files and should not pay for numpy, the
 broker or the ML stack on the way in.  A package ``__init__`` therefore
 declares *where* each public name lives and resolves it on first access::
 

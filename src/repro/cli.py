@@ -18,10 +18,11 @@ Exposes the experiment harness without writing any Python::
     python -m repro scenario store gc --older-than-days 30
 
 All commands print the same plain-text tables the benchmark harness emits.
-Scenario runs and grids consult the results store (``.repro/results.sqlite``
-by default, ``--store``/``REPRO_STORE`` to relocate, ``--no-store`` to
-disable) before executing: a previously stored ``(spec, seed)`` is returned
-from the store with a byte-identical signature instead of being re-run.
+Scenario runs and grids consult the results store (the directory
+``.repro/store`` by default, ``--store``/``REPRO_STORE`` to relocate,
+``--no-store`` to disable) before executing: a previously stored ``(spec,
+seed)`` is returned from the store with a byte-identical signature instead of
+being re-run.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_store_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--store", default=None, metavar="PATH",
-            help="results-store sqlite file (default: $REPRO_STORE or .repro/results.sqlite)",
+            help="results-store directory (default: $REPRO_STORE or .repro/store)",
         )
         command.add_argument(
             "--no-store", action="store_true",
@@ -197,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_gc.add_argument("--scenario", default=None, help="delete runs of this scenario name")
     store_gc.add_argument("--all", action="store_true", dest="delete_all", help="empty the store")
-    store_gc.add_argument(
-        "--no-vacuum", action="store_true", help="skip the sqlite VACUUM after deleting"
-    )
     add_store_options(store_gc)
 
     scenario_trace = scenario_sub.add_parser(
@@ -425,16 +423,12 @@ def _cmd_scenario_store(args: argparse.Namespace) -> int:
         raise _UsageError("this command needs the results store (drop --no-store)")
     try:
         store = ResultsStore(path)
-    except ResultsStoreError as exc:
-        raise _UsageError(str(exc)) from exc
-    try:
         if args.store_command == "ls":
             stats = store.stats()
             runs = store.runs(scenario=args.scenario)
             print(
                 f"Results store {stats['path']} — {stats['runs']} run(s), "
-                f"{stats['grids']} grid(s), {stats['total_hits']} hit(s), "
-                f"{stats['size_bytes'] / 1024:.1f} KiB\n"
+                f"{stats['grids']} grid(s), {stats['size_bytes'] / 1024:.1f} KiB\n"
             )
             print(format_table([run.row() for run in runs], precision=4)
                   if runs else "(no stored runs)")
@@ -472,15 +466,12 @@ def _cmd_scenario_store(args: argparse.Namespace) -> int:
             ),
             scenario=args.scenario,
             delete_all=args.delete_all,
-            vacuum=not args.no_vacuum,
         )
         print(f"gc: removed {removed['runs']} run(s), {removed['grids']} grid(s)")
         return 0
     except ResultsStoreError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    finally:
-        store.close()
 
 
 def _cmd_scenario_trace(args: argparse.Namespace) -> int:
@@ -524,7 +515,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return _cmd_scenario_trace(args)
 
     # Resolve what to run before opening the store: a mistyped name or a bad
-    # spec file exits 2 without creating the store (or importing sqlite3).
+    # spec file exits 2 without creating the store.
     if args.scenario_command == "run":
         if args.spec is not None:
             from repro.scenarios.spec import ScenarioSpec

@@ -3,7 +3,7 @@
 Built on stdlib :mod:`logging` with a context-prefixing adapter:
 ``get_logger("repro.scenario", scenario="baseline", seed=3)`` renders
 
-    repro.scenario [scenario=baseline seed=3] store: hit (/path/db.sqlite)
+    repro.scenario [scenario=baseline seed=3] store: hit (.repro/store)
 
 Everything goes to **stderr** — stdout stays reserved for rendered results
 so cached-run byte-identity checks (``cmp`` over captured stdout) keep

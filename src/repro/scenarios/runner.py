@@ -66,8 +66,8 @@ __all__ = [
     "execute_scenario",
 ]
 
-#: Version stamp inside every stored payload, independent of the sqlite
-#: schema: bump when the payload key set changes incompatibly.
+#: Version stamp inside every stored payload, independent of the store's file
+#: layout: bump when the payload key set changes incompatibly.
 PAYLOAD_SCHEMA = 1
 
 
@@ -675,15 +675,15 @@ class ScenarioRunner:
     exiting interpreter reaps them regardless.
 
     ``store`` attaches a content-addressed results cache — a
-    :class:`~repro.scenarios.store.ResultsStore` instance or a database
-    path.  With a store attached, :meth:`run` and :meth:`run_grid` consult
+    :class:`~repro.scenarios.store.ResultsStore` instance or the path of its
+    directory.  With a store attached, :meth:`run` and :meth:`run_grid` consult
     it before executing and persist every fresh result into it; the
     ``store_hits``/``store_misses`` counters track the split.
 
     Example
     -------
     >>> from repro.scenarios import ScenarioRunner
-    >>> runner = ScenarioRunner(store="results.sqlite")  # doctest: +SKIP
+    >>> runner = ScenarioRunner(store=".repro/store")  # doctest: +SKIP
     >>> result = runner.run("baseline", seed=7)       # doctest: +SKIP
     >>> result.seed, result.signature == runner.run("baseline", seed=7).signature
     (7, True)                                          # doctest: +SKIP
@@ -697,7 +697,6 @@ class ScenarioRunner:
     ) -> None:
         self._pool: Optional[Pool] = None
         self._pool_workers = 0
-        self._owns_store = isinstance(store, (str, os.PathLike))
         self._store: Optional[ResultsStore] = (
             ResultsStore(store) if isinstance(store, (str, os.PathLike)) else store
         )
@@ -751,7 +750,7 @@ class ScenarioRunner:
         self._pool_workers = 0
 
     def close(self) -> None:
-        """Gracefully shut down the worker pool and any owned store (idempotent).
+        """Gracefully shut down the worker pool (idempotent).
 
         Uses ``close()`` + ``join()`` so in-flight grid cells run to
         completion (and, with a store attached, get persisted) instead of
@@ -759,9 +758,6 @@ class ScenarioRunner:
         ``__del__`` and error paths.
         """
         self._shutdown_pool(graceful=True)
-        if self._owns_store and self._store is not None:
-            self._store.close()
-            self._store = None
 
     def __enter__(self) -> "ScenarioRunner":
         return self

@@ -27,16 +27,14 @@ GRID_SPEC = os.path.join(REPO_ROOT, "tests", "data", "grid_smoke.json")
 def template(tmp_path_factory):
     """A store with the baseline run and a one-cell grid, plus its trace file."""
     root = tmp_path_factory.mktemp("verbs")
-    path = str(root / "template.sqlite")
+    path = str(root / "template")
     with ScenarioRunner(store=path) as runner:
         result = runner.run("baseline", trace_dir=root / "trace")
-    store = ResultsStore(path)
     key = spec_hash(get_scenario("baseline"))
-    store.record_grid("f" * 64, "one-cell", ["seed"], [
+    ResultsStore(path).record_grid("f" * 64, "one-cell", ["seed"], [
         {"index": 0, "coordinates": {"seed": 42}, "spec_hash": key, "seed": 42,
          "signature": result.signature},
     ])
-    store.close()
     return {"path": path, "key": key, "signature": result.signature,
             "trace": str(root / "trace" / "baseline_42.trace.json")}
 
@@ -44,8 +42,8 @@ def template(tmp_path_factory):
 @pytest.fixture
 def store_path(template, tmp_path):
     """A private copy of the template store (``gc`` mutates it)."""
-    path = str(tmp_path / "results.sqlite")
-    shutil.copyfile(template["path"], path)
+    path = str(tmp_path / "store")
+    shutil.copytree(template["path"], path)
     return path
 
 
@@ -70,11 +68,11 @@ class TestStoreVerbs:
         timing = dataclasses.replace(
             trained, name="timing-only",
             training=dataclasses.replace(trained.training, train_for_real=False))
-        path = str(tmp_path / "results.sqlite")
-        with ResultsStore(path) as store:
-            for spec, accuracy in ((trained, 0.8125), (timing, 0.1)):
-                store.put_run(spec_hash(spec), spec.seed, spec, "ab" * 32,
-                              {"rounds_completed": 3, "final_accuracy": accuracy})
+        path = str(tmp_path / "store")
+        store = ResultsStore(path)
+        for spec, accuracy in ((trained, 0.8125), (timing, 0.1)):
+            store.put_run(spec_hash(spec), spec.seed, spec, "ab" * 32,
+                          {"rounds_completed": 3, "final_accuracy": accuracy})
         code, out, _err = _run(capsys, ["scenario", "store", "ls", "--store", path])
         assert code == 0
         rows = {line.split()[2]: line.split() for line in out.splitlines()
@@ -110,6 +108,23 @@ class TestStoreVerbs:
         code, out, err = _run(capsys, ["scenario", "store", "show", "nothing", "--store", store_path])
         assert code == 2 and out == ""
         assert "nothing" in err
+
+    def test_show_reaches_no_file_outside_the_store(self, capsys, store_path, tmp_path):
+        (tmp_path / "x-1.json").write_text("{}")
+        code, out, err = _run(capsys, [
+            "scenario", "store", "show", "../../x", "--seed", "1", "--store", store_path])
+        assert code == 2 and out == ""
+        assert err == "no stored run matches '../../x' with seed 1\n"
+
+    def test_ls_skips_a_bad_file_with_one_stderr_line(self, capsys, store_path, template):
+        _code, before, _err = _run(capsys, ["scenario", "store", "ls", "--store", store_path])
+        bad = os.path.join(store_path, "runs", "ab" * 32 + "-1.json")
+        with open(bad, "w", encoding="utf-8") as handle:
+            handle.write('{"spec_hash": "ab')
+        code, out, err = _run(capsys, ["scenario", "store", "ls", "--store", store_path])
+        assert code == 0 and err.count("\n") == 1 and bad in err
+        assert out.splitlines()[1:] == before.splitlines()[1:]
+        assert template["key"][:12] in out
 
     def test_gc_without_a_selector_exits_2(self, capsys, store_path):
         code, _out, err = _run(capsys, ["scenario", "store", "gc", "--store", store_path])

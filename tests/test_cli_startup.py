@@ -2,8 +2,9 @@
 
 Each row starts a fresh interpreter, calls ``repro.cli.main`` and reads back
 ``sys.modules``: the verbs that read the registry or the results store must
-not import numpy or the execution stack, and a ``--no-store`` run must not
-import sqlite, the worker pool or the figure harnesses.
+not import numpy, the execution stack or ``sqlite3`` (the store is plain JSON
+files), and a ``--no-store`` run must not import the worker pool or the figure
+harnesses.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def warm_store(tmp_path_factory):
     """A store already holding every cell of the smoke grid."""
     root = tmp_path_factory.mktemp("startup")
     code, stderr, _ = _modules_after(
-        ["scenario", "grid", "--spec", GRID_SPEC, "--store", "store.sqlite"], root
+        ["scenario", "grid", "--spec", GRID_SPEC, "--store", "store"], root
     )
     assert code == 0 and "0 cached, 4 executed" in stderr, stderr
     return root
@@ -76,8 +77,8 @@ def warm_store(tmp_path_factory):
         ["scenario", "list"],
         ["scenario", "grid", "--list"],
         ["scenario", "schema"],
-        ["scenario", "store", "ls", "--store", "store.sqlite"],
-        ["scenario", "grid", "--spec", GRID_SPEC, "--store", "store.sqlite", "--workers", "2"],
+        ["scenario", "store", "ls", "--store", "store"],
+        ["scenario", "grid", "--spec", GRID_SPEC, "--store", "store", "--workers", "2"],
     ],
     ids=["list", "grid-list", "schema", "store-ls", "warm-grid"],
 )
@@ -87,6 +88,8 @@ def test_verbs_that_execute_nothing_leave_the_execution_stack_unloaded(argv, war
     if "--spec" in argv:
         assert "4 cached, 0 executed" in stderr
     assert not modules.intersection(EXECUTION_STACK)
+    if "--store" in argv:
+        assert "sqlite3" not in modules
 
 
 def test_a_no_store_run_loads_no_store_pool_or_figure_code(tmp_path):

@@ -111,13 +111,10 @@ class TestTrafficAccounting:
 @pytest.mark.parametrize("name", NAMES)
 def test_stored_payload_renders_like_the_fresh_result(name, executed, tmp_path):
     fresh = executed(name)
-    store = ResultsStore(str(tmp_path / "results.sqlite"))
-    try:
-        key = spec_hash(fresh.spec)
-        store.put_run(key, fresh.seed, fresh.spec, fresh.signature, fresh.to_payload())
-        served = ScenarioResult.from_payload(fresh.spec, store.get_run(key, fresh.seed).payload)
-    finally:
-        store.close()
+    store = ResultsStore(str(tmp_path / "store"))
+    key = spec_hash(fresh.spec)
+    store.put_run(key, fresh.seed, fresh.spec, fresh.signature, fresh.to_payload())
+    served = ScenarioResult.from_payload(fresh.spec, store.get_run(key, fresh.seed).payload)
     assert served.from_store and not fresh.from_store
     assert served.signature == fresh.signature
     assert served.metrics == fresh.metrics

@@ -6,8 +6,9 @@ cache-hit byte-identity (stored signature == fresh signature, identical
 rendered rows), incremental grid re-execution (a warm grid executes zero
 cells, editing one axis value re-executes only the changed cells — pinned by
 counting worker invocations), ``--resume`` after a simulated mid-grid kill,
-the atomic report-bundle rename, and files that are not a results store
-(garbage, truncated, a non-integer schema version) failing typed.
+a kill between a store write and its rename, the atomic report-bundle rename,
+and inputs the store did not write: a file at the store path fails typed, a
+garbage, truncated or misnamed entry file is a miss and is skipped by listings.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.scenarios import (
     sweep_hash,
 )
 from repro.scenarios.runner import CellResult
-from repro.scenarios.store import BUSY_TIMEOUT_MS, SCHEMA_VERSION
 
 import repro.scenarios.runner as runner_module
 import repro.scenarios.store as store_module
@@ -75,8 +75,7 @@ def _small_sweep(deadlines=(1.0, 5.0), seeds=(1, 2)) -> SweepSpec:
 
 @pytest.fixture
 def store(tmp_path) -> ResultsStore:
-    with ResultsStore(tmp_path / "results.sqlite") as handle:
-        yield handle
+    return ResultsStore(tmp_path / "store")
 
 
 @pytest.fixture
@@ -145,13 +144,18 @@ class TestResultsStore:
             # untrained model's accuracy, so the row shows none.
             (False, {"rounds_completed": 2, "final_accuracy": 0.1}, ""),
             (True, {"rounds_completed": 2}, ""),
+            # A hand-written file whose spec leaves training at its defaults.
+            (None, {"rounds_completed": 2, "final_accuracy": 0.5}, 0.5),
         ],
     )
     def test_row_accuracy_follows_the_stored_spec(self, store, train_for_real, payload, accuracy):
         base = _tiny_base()
         spec = dataclasses.replace(
-            base, training=dataclasses.replace(base.training, train_for_real=train_for_real))
-        store.put_run(spec_hash(spec), spec.seed, spec, "sig", payload)
+            base, training=dataclasses.replace(base.training, train_for_real=bool(train_for_real)))
+        tree = spec.as_dict()
+        if train_for_real is None:
+            del tree["training"]
+        store.put_run(spec_hash(spec), spec.seed, tree, "sig", payload)
         row = store.get_run(spec_hash(spec), spec.seed).row()
         assert row["accuracy"] == accuracy
         assert row["rounds"] == 2
@@ -165,13 +169,52 @@ class TestResultsStore:
         assert [run.spec for run in store.runs(scenario=spec.name)] == [document]
         assert store.resolve_run(key[:8]).spec == document
 
-    def test_get_miss_returns_none_and_hit_counts(self, store):
+    def test_get_miss_returns_none_and_a_hit_refreshes_the_mtime(self, store):
         spec = _tiny_base()
         assert store.get_run(spec_hash(spec), spec.seed) is None
         store.put_run(spec_hash(spec), spec.seed, spec, "sig", {"x": 1})
-        store.get_run(spec_hash(spec), spec.seed)
-        store.get_run(spec_hash(spec), spec.seed)
-        assert store.stats()["total_hits"] == 2
+        path = _run_file(store, spec_hash(spec), spec.seed)
+        os.utime(path, (1_000_000, 1_000_000))
+        assert store.get_run(spec_hash(spec), spec.seed).payload == {"x": 1}
+        assert os.path.getmtime(path) > 1_000_000
+        # What gc reads as "last used": the refreshed run is not old.
+        assert store.gc(older_than_s=3600)["runs"] == 0
+
+    def test_gc_by_age_reads_the_last_use(self, store):
+        spec = _tiny_base()
+        store.put_run(spec_hash(spec), 1, spec, "sig", {"x": 1})
+        store.put_run(spec_hash(spec), 2, spec, "sig", {"x": 2})
+        os.utime(_run_file(store, spec_hash(spec), 1), (1_000_000, 1_000_000))
+        assert store.gc(older_than_s=86400) == {"runs": 1, "grids": 0}
+        assert [run.seed for run in store.runs()] == [2]
+
+    def test_a_run_is_one_json_file_named_by_its_key(self, store):
+        spec = _tiny_base()
+        store.put_run(spec_hash(spec), -3, spec, "sig", {"x": 1})
+        path = _run_file(store, spec_hash(spec), -3)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["spec_hash"] == spec_hash(spec) and document["seed"] == -3
+        assert document["payload"] == {"x": 1} and document["signature"] == "sig"
+        assert store.resolve_run(spec_hash(spec)[:6], seed=-3).payload == {"x": 1}
+        assert os.listdir(os.path.join(store.path, "runs")) == [os.path.basename(path)]
+        # Readable like the directory that holds it (mkstemp alone makes 0600).
+        directory_mode = os.stat(os.path.dirname(path)).st_mode
+        assert os.stat(path).st_mode & 0o777 == directory_mode & 0o666
+
+    @pytest.mark.parametrize("key", ["../x", "ABCD", "", "ab/cd", "ab-1"])
+    def test_a_key_that_is_not_lowercase_hex_reaches_no_path(self, store, key):
+        with pytest.raises(ResultsStoreError, match="lowercase-hex"):
+            store.put_run(key, 1, _tiny_base(), "sig", {"x": 1})
+        with pytest.raises(ResultsStoreError, match="lowercase-hex"):
+            store.get_run(key, 1)
+        with pytest.raises(ResultsStoreError, match="lowercase-hex"):
+            store.record_grid(key, "g", ["seed"], [])
+        with pytest.raises(ResultsStoreError, match="no stored run"):
+            store.resolve_run(key, seed=1)
+        with pytest.raises(ResultsStoreError, match="no recorded grid"):
+            store.resolve_grid(key)
+        assert store.stats()["runs"] == 0
 
     def test_resolve_run_prefix_and_ambiguity(self, store):
         spec = _tiny_base()
@@ -243,77 +286,151 @@ class TestResultsStore:
         assert store.gc(delete_all=True)["runs"] == 1
         assert store.stats()["runs"] == 0
 
-    def test_wrong_schema_version_refused(self, tmp_path):
+    def test_a_garbage_file_at_the_store_path_is_refused(self, tmp_path):
         path = tmp_path / "results.sqlite"
-        with ResultsStore(path) as handle:
-            handle._db().execute(
-                "UPDATE store_meta SET value = ? WHERE key = 'schema_version'",
-                (str(SCHEMA_VERSION + 1),),
-            )
-            handle._db().commit()
-        with pytest.raises(ResultsStoreError, match="schema"):
+        path.write_bytes(b"not a results store " * 200)
+        with pytest.raises(ResultsStoreError, match="move the file aside"):
             ResultsStore(path)
+        assert path.read_bytes() == b"not a results store " * 200
 
-    def test_non_integer_schema_version_refused(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        with ResultsStore(path) as handle:
-            handle._db().execute(
-                "UPDATE store_meta SET value = 'one' WHERE key = 'schema_version'"
-            )
-            handle._db().commit()
-        with pytest.raises(ResultsStoreError, match=r"schema 'one'.*move the file aside"):
-            ResultsStore(path)
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "missing key", "misnamed"])
+    def test_a_bad_run_file_is_a_miss_that_the_fresh_run_replaces(self, store, damage):
+        spec, other = _tiny_base(), _tiny_base(name="other")
+        store.put_run(spec_hash(other), other.seed, other, "sig", {"x": 2})
+        path = _damage(store, spec, damage)
+        runner = ScenarioRunner(store=store)
+        fresh = runner.run(spec)
+        assert not fresh.from_store and runner.store_misses == 1
+        assert runner.run(spec).from_store, "the fresh put_run replaced the bad file"
+        assert store.get_run(spec_hash(spec), spec.seed).signature == fresh.signature
+        assert os.path.exists(path)
 
-    def test_garbage_file_refused(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        path.write_bytes(b"not an sqlite database " * 200)
-        with pytest.raises(ResultsStoreError, match="not a readable results store"):
-            ResultsStore(path)
-        assert path.read_bytes() == b"not an sqlite database " * 200
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "missing key", "misnamed"])
+    def test_listing_verbs_skip_a_bad_file_with_one_line(self, store, damage, capsys):
+        spec, other = _tiny_base(), _tiny_base(name="other")
+        store.put_run(spec_hash(other), other.seed, other, "sig", {"x": 2})
+        path = _damage(store, spec, damage)
+        capsys.readouterr()
+        assert [run.scenario for run in store.runs()] == ["other"]
+        assert store.resolve_run(spec_hash(other)[:8]).scenario == "other"
+        with pytest.raises(ResultsStoreError, match="no stored run"):
+            store.resolve_run(spec_hash(spec)[:8])
+        assert store.gc(scenario="other") == {"runs": 1, "grids": 0}
+        err = capsys.readouterr().err
+        assert err.count("\n") == 3 and err.count(str(path)) == 3
+        assert os.path.exists(path), "a file the store did not write is left in place"
 
-    def test_truncated_file_refused(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        with ResultsStore(path) as handle:
-            spec = _tiny_base()
-            for seed in range(40):
-                handle.put_run(spec_hash(spec), seed, spec, "sig" * 20, {"x": "y" * 400})
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 3])
-        with pytest.raises(ResultsStoreError, match=str(path)):
-            ResultsStore(path)
+    def test_a_bad_grid_file_is_skipped_and_rewritten(self, store, capsys):
+        path = os.path.join(store.path, "grids", "f00d" * 16 + ".json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"sweep_hash": "')
+        assert store.grids() == []
+        assert capsys.readouterr().err.count(path) == 1
+        store.record_grid("f00d" * 16, "g", ["seed"], [])
+        assert store.resolve_grid("g").sweep_hash == "f00d" * 16
 
-    @pytest.mark.parametrize("where", ["a directory", "under a file"])
+    @pytest.mark.parametrize("where", ["a regular file", "under a file"])
     def test_unopenable_path_refused(self, tmp_path, where):
         (tmp_path / "plain").write_text("x")
-        path = tmp_path if where == "a directory" else tmp_path / "plain" / "results.sqlite"
-        with pytest.raises(ResultsStoreError, match="cannot open results store"):
+        path = tmp_path / "plain" if where == "a regular file" else tmp_path / "plain" / "store"
+        with pytest.raises(ResultsStoreError, match=str(path)):
             ResultsStore(path)
+        assert (tmp_path / "plain").read_text() == "x"
 
-    def test_stored_payload_carries_metrics_and_signature(self, tmp_path):
-        with ResultsStore(tmp_path / "results.sqlite") as handle:
-            result = ScenarioRunner(store=handle).run(_tiny_base())
-            (listed,) = handle.runs()
-            run = handle.get_run(listed.spec_hash, listed.seed)
+    def test_stored_payload_carries_metrics_and_signature(self, store):
+        result = ScenarioRunner(store=store).run(_tiny_base())
+        (listed,) = store.runs()
+        run = store.get_run(listed.spec_hash, listed.seed)
         assert run.signature == result.signature
         assert run.payload["signature"] == result.signature
         assert run.payload["metrics"] == result.metrics
         assert run.payload["metrics"]["gauges"]
 
-    def test_closed_store_raises(self, tmp_path):
-        handle = ResultsStore(tmp_path / "results.sqlite")
-        handle.close()
-        with pytest.raises(ResultsStoreError, match="closed"):
-            handle.stats()
+
+def _run_file(store: ResultsStore, key: str, seed: int) -> str:
+    return os.path.join(store.path, "runs", f"{key}-{seed}.json")
+
+
+def _damage(store: ResultsStore, spec: ScenarioSpec, damage: str) -> str:
+    """Leave a bad file where ``spec``'s run belongs; returns its path."""
+    store.put_run(spec_hash(spec), spec.seed, spec, "sig", {"x": 1})
+    path = _run_file(store, spec_hash(spec), spec.seed)
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    document = json.loads(text)
+    if damage == "garbage":
+        text = "\0" * 4096
+    elif damage == "truncated":
+        text = text[: len(text) // 3]
+    elif damage == "missing key":
+        del document["payload"]
+        text = json.dumps(document)
+    else:  # holds another seed's run under this seed's name
+        document["seed"] += 1
+        text = json.dumps(document)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
+class TestKillMidWrite:
+    """A process killed between the temp write and the rename loses only
+    the write in flight: the previous file stays whole and is served."""
+
+    @pytest.fixture
+    def dies_at_rename(self, monkeypatch):
+        def replace(_source, _target):
+            raise KeyboardInterrupt()
+
+        return lambda: monkeypatch.setattr(store_module.os, "replace", replace)
+
+    def test_put_run(self, store, dies_at_rename, capsys):
+        spec = _tiny_base()
+        store.put_run(spec_hash(spec), spec.seed, spec, "old", {"x": 1})
+        dies_at_rename()
+        with pytest.raises(KeyboardInterrupt):
+            store.put_run(spec_hash(spec), spec.seed, spec, "new", {"x": 2})
+        assert store.get_run(spec_hash(spec), spec.seed).payload == {"x": 1}
+        assert os.listdir(os.path.join(store.path, "runs")) == [
+            os.path.basename(_run_file(store, spec_hash(spec), spec.seed))
+        ]
+        assert [run.signature for run in store.runs()] == ["old"]
+        assert store.stats()["runs"] == 1 and capsys.readouterr().err == ""
+
+    def test_record_grid(self, store, dies_at_rename, capsys):
+        cell = {"index": 0, "coordinates": {}, "spec_hash": "ab", "seed": 1, "signature": "s"}
+        store.record_grid("f00d" * 16, "g", ["seed"], [cell])
+        dies_at_rename()
+        with pytest.raises(KeyboardInterrupt):
+            store.record_grid("f00d" * 16, "g", ["seed"], [cell, dict(cell, index=1)])
+        assert [len(grid.cells) for grid in store.grids()] == [1]
+        assert store.resolve_grid("g").cells == [cell]
+        assert os.listdir(os.path.join(store.path, "grids")) == ["f00d" * 16 + ".json"]
+        assert capsys.readouterr().err == ""
+
+    def test_a_temp_file_a_kill_leaves_behind_is_never_listed(self, store, capsys):
+        spec = _tiny_base()
+        store.put_run(spec_hash(spec), spec.seed, spec, "sig", {"x": 1})
+        store.record_grid("f00d" * 16, "g", ["seed"], [
+            {"index": 0, "spec_hash": spec_hash(spec), "seed": spec.seed}])
+        for kind in ("runs", "grids"):
+            with open(os.path.join(store.path, kind, ".tmpkilled.tmp"), "w") as handle:
+                handle.write('{"trunc')
+        assert len(store.runs()) == 1 and len(store.grids()) == 1
+        assert store.stats()["runs"] == 1 and store.stats()["grids"] == 1
+        assert store.gc(delete_all=True) == {"runs": 1, "grids": 1}
+        assert capsys.readouterr().err == ""
 
 
 def _hammer_store(path: str, worker: int, writes: int) -> None:
-    """Child-process body for the concurrent-writer test: open, write, close."""
+    """Child-process body for the concurrent-writer test: open, write."""
     spec = _tiny_base().as_dict()
-    with ResultsStore(path) as handle:
-        for index in range(writes):
+    handle = ResultsStore(path)
+    for index in range(writes):
+        for key in (f"{worker:02x}{index:04x}", "ff"):  # its own key, then the shared one
             handle.put_run(
-                f"w{worker}-{index:04d}",
-                seed=index,
+                key,
+                seed=0 if key == "ff" else index,
                 spec=spec,
                 signature=f"sig-{worker}-{index}",
                 payload={"worker": worker, "index": index},
@@ -321,20 +438,12 @@ def _hammer_store(path: str, worker: int, writes: int) -> None:
 
 
 class TestConcurrentWriters:
-    def test_store_opens_in_wal_mode_with_busy_timeout(self, tmp_path):
-        with ResultsStore(tmp_path / "results.sqlite") as handle:
-            mode = handle._db().execute("PRAGMA journal_mode").fetchone()[0]
-            timeout = handle._db().execute("PRAGMA busy_timeout").fetchone()[0]
-            assert str(mode).lower() == "wal"
-            assert int(timeout) == BUSY_TIMEOUT_MS
-
     def test_parallel_writer_processes_all_land(self, tmp_path):
-        # Four processes hammer the same database file; WAL plus the busy
-        # timeout must absorb the contention — no "database is locked"
-        # failures (a worker that hits one exits non-zero) and every row
-        # durable afterwards.
-        path = str(tmp_path / "concurrent.sqlite")
-        ResultsStore(path).close()  # create the schema before the race
+        # Four processes write into the same directory at once, all of them
+        # also to one shared key; each file lands whole through its own temp
+        # file and rename, and every run is there afterwards (a worker that
+        # fails exits non-zero).
+        path = str(tmp_path / "concurrent")
         workers, writes = 4, 25
         processes = [
             multiprocessing.Process(target=_hammer_store, args=(path, worker, writes))
@@ -345,13 +454,15 @@ class TestConcurrentWriters:
         for process in processes:
             process.join(timeout=120)
         assert all(process.exitcode == 0 for process in processes)
-        with ResultsStore(path) as handle:
-            assert handle.stats()["runs"] == workers * writes
-            for worker in range(workers):
-                for index in (0, writes - 1):
-                    stored = handle.get_run(f"w{worker}-{index:04d}", seed=index)
-                    assert stored is not None
-                    assert stored.payload == {"worker": worker, "index": index}
+        handle = ResultsStore(path)
+        assert handle.stats()["runs"] == workers * writes + 1
+        assert len(os.listdir(os.path.join(path, "runs"))) == workers * writes + 1
+        assert set(handle.get_run("ff", seed=0).payload) == {"worker", "index"}
+        for worker in range(workers):
+            for index in (0, writes - 1):
+                stored = handle.get_run(f"{worker:02x}{index:04x}", seed=index)
+                assert stored is not None
+                assert stored.payload == {"worker": worker, "index": index}
 
 
 class TestRunWithStore:
@@ -447,30 +558,12 @@ class TestRunWithStore:
         assert not result.from_store
         assert runner.store_hits == 0
 
-    def test_runner_owns_store_opened_from_path(self, tmp_path):
-        path = tmp_path / "owned.sqlite"
-        runner = ScenarioRunner(store=path)
-        runner.run(_tiny_base())
-        runner.close()
-        assert runner.store is None
-        with ResultsStore(path) as reopened:
-            assert reopened.stats()["runs"] == 1
-
-
-    def test_context_manager_closes_an_owned_store(self, tmp_path):
-        path = tmp_path / "owned.sqlite"
+    def test_runner_opened_from_a_path_stores_into_that_directory(self, tmp_path):
+        path = tmp_path / "store"
         with ScenarioRunner(store=path) as runner:
             runner.run(_tiny_base())
-            assert runner.store is not None
-        assert runner.store is None
-        with ResultsStore(path) as reopened:
-            assert reopened.stats()["runs"] == 1
-
-    def test_context_manager_leaves_a_borrowed_store_open(self, store):
-        with ScenarioRunner(store=store) as runner:
-            runner.run(_tiny_base())
-        assert runner.store is store
-        assert store.stats()["runs"] == 1
+        assert ResultsStore(path).stats()["runs"] == 1
+        assert ScenarioRunner(store=path).run(_tiny_base()).from_store
 
 
 class TestGridWithStore:
@@ -551,7 +644,7 @@ class TestDeadlineTierMixGolden:
         golden_path = os.path.join(
             REPO_ROOT, "tests", "data", "deadline_tier_mix_signatures.txt"
         )
-        runner = ScenarioRunner(store=tmp_path / "results.sqlite")
+        runner = ScenarioRunner(store=tmp_path / "store")
         try:
             cold = runner.run_grid("deadline-tier-mix", workers=2)
 

@@ -166,7 +166,7 @@ def chains(work: str) -> List[Tuple[str, List[List[str]]]]:
     result += [(work, [repro + ["scenario", "schema", "--check",
                                 os.path.join(ROOT, "docs", "scenario-spec.md")]]),
                (work, [repro + ["scenario", "sweep", "baseline", "--seeds", "1", "--no-store"]])]
-    store = ["--store", "s.sqlite"]
+    store = ["--store", "s"]
     smoke = os.path.join(ROOT, "tests", "data", "grid_smoke.json")
     grid = repro + ["scenario", "grid", "--spec", smoke, "--workers", "2"] + store
     result.append((os.path.join(work, "store"), [
@@ -187,7 +187,7 @@ def chains(work: str) -> List[Tuple[str, List[List[str]]]]:
 
 def run_chain(outdir: str, cwd: str, commands: List[List[str]]) -> None:
     os.makedirs(cwd, exist_ok=True)
-    env = dict(os.environ, REPRO_STORE=os.path.join(cwd, "s.sqlite"))
+    env = dict(os.environ, REPRO_STORE=os.path.join(cwd, "s"))
     stdout = ""
     for argv in commands:
         found = re.search(r"^([0-9a-f]{12})\s+7\s+heavy-churn\b", stdout, re.MULTILINE)
