@@ -424,15 +424,16 @@ def _cmd_scenario_store(args: argparse.Namespace) -> int:
     try:
         store = ResultsStore(path)
         if args.store_command == "ls":
-            stats = store.stats()
-            runs = store.runs(scenario=args.scenario)
+            # The header counts the entries read, not the files: a file the
+            # store did not write is skipped (one stderr line) and not counted.
+            runs, grids = store.runs(), store.grids()
             print(
-                f"Results store {stats['path']} — {stats['runs']} run(s), "
-                f"{stats['grids']} grid(s), {stats['size_bytes'] / 1024:.1f} KiB\n"
+                f"Results store {store.path} — {len(runs)} run(s), {len(grids)} grid(s), "
+                f"{store.stats()['size_bytes'] / 1024:.1f} KiB\n"
             )
+            runs = [run for run in runs if args.scenario in (None, run.scenario)]
             print(format_table([run.row() for run in runs], precision=4)
                   if runs else "(no stored runs)")
-            grids = store.grids()
             print()
             print(format_table([grid.row() for grid in grids], precision=4)
                   if grids else "(no recorded grids)")

@@ -11,8 +11,10 @@ and reports the total processing delay of the 10 rounds.  The observed shape:
 both curves grow with the client count, the hierarchical arrangement carries a
 modest overhead at small scale (an extra aggregation level), and the gap
 closes as the client count grows because the lone central aggregator becomes
-the bottleneck (serialized reception of every model plus per-model processing
-and memory pressure).
+the bottleneck (serialized reception of every model plus per-model processing,
+``aggregate_fixed_s`` per contribution).  Memory plays no part here: no
+aggregator in a ``fig8`` run buffers more than it holds, so the cost model's
+overflow penalty never fires.
 
 The reproduction runs the real SDFLMQ stack (messages, clustering, role
 management) with ``train_for_real=False`` — the numerics of training do not

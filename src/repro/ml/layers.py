@@ -3,12 +3,20 @@
 Every layer follows the same contract:
 
 * ``forward(x, training)`` caches whatever it needs for the backward pass and
-  returns the output,
+  returns the output; ``clear_cache()`` drops that cache,
 * ``backward(grad_output)`` consumes the cached activations, accumulates
   parameter gradients in ``self.grads`` and returns the gradient with respect
   to the layer input,
 * ``params`` / ``grads`` are dicts of numpy arrays; :class:`Sequential`
   namespaces them as ``"<index>.<name>"`` to form a PyTorch-style state dict.
+
+Gradients are scratch, not state: one array per (state-dict key, shape,
+dtype) per process, shared by every layer in that position (:data:`_GRADS`).
+A layer takes its slots, zeroed, on its first ``backward``; a gradient read is
+valid from ``backward`` to the optimizer ``step`` that consumes it, before any
+other model of the same architecture runs ``zero_grad`` or ``backward``.  FL
+clients train one at a time, so a fleet holds one gradient set, not one per
+client, and a fleet that never trains holds none.
 
 The implementation is deliberately mini-batch vectorized: each layer does a
 constant number of BLAS-backed numpy operations per batch, no per-sample
@@ -27,12 +35,28 @@ from repro.utils.validation import require_positive
 __all__ = ["Layer", "Linear", "ReLU", "Sequential"]
 
 
+#: Gradient arrays keyed by (state-dict key, shape, dtype), shared by every
+#: layer in the process that holds a parameter under that key: created by the
+#: first ``backward`` that needs one, then reused, never freed.
+_GRADS: Dict[tuple, np.ndarray] = {}
+
+
 class Layer:
-    """Base class for all layers."""
+    """Base class for all layers.
+
+    ``grads`` stays empty until the first ``backward``, which points it at the
+    process-wide gradient slots for this layer's parameters (see the module
+    docstring): shared scratch, valid from ``backward`` to ``step``.
+    """
+
+    #: Attributes holding what a training-mode ``forward`` keeps for ``backward``.
+    _CACHE: tuple = ()
 
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
+        #: State-dict prefix of this layer ("<index>." inside a Sequential).
+        self._key_prefix = ""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for input ``x``."""
@@ -42,10 +66,27 @@ class Layer:
         """Back-propagate ``grad_output`` and return the input gradient."""
         raise NotImplementedError
 
+    def clear_cache(self) -> None:
+        """Drop the activations a training-mode ``forward`` kept."""
+        for name in self._CACHE:
+            setattr(self, name, None)
+
     def zero_grad(self) -> None:
         """Reset accumulated gradients to zero."""
         for key, grad in self.grads.items():
             grad.fill(0.0)
+
+    def _take_grad_slots(self) -> Dict[str, np.ndarray]:
+        """Point ``grads`` at this layer's shared slots, zeroed, and return it."""
+        for name, param in self.params.items():
+            key = (self._key_prefix + name, param.shape, param.dtype)
+            slot = _GRADS.get(key)
+            if slot is None:
+                slot = _GRADS[key] = np.zeros_like(param)
+            else:
+                slot.fill(0.0)
+            self.grads[name] = slot
+        return self.grads
 
     @property
     def num_parameters(self) -> int:
@@ -69,6 +110,8 @@ class Linear(Layer):
         Whether to include the additive bias term.
     """
 
+    _CACHE = ("_input",)
+
     def __init__(
         self,
         in_features: int,
@@ -90,11 +133,9 @@ class Linear(Layer):
         else:
             raise ValueError(f"unknown init {init!r}; expected 'he' or 'xavier'")
         self.params["weight"] = np.ascontiguousarray(weight, dtype=np.float64)
-        self.grads["weight"] = np.zeros_like(self.params["weight"])
         self.use_bias = bool(bias)
         if self.use_bias:
             self.params["bias"] = zeros((out_features,))
-            self.grads["bias"] = np.zeros_like(self.params["bias"])
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -111,14 +152,17 @@ class Linear(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before a training-mode forward pass")
-        self.grads["weight"] += self._input.T @ grad_output
+        grads = self.grads or self._take_grad_slots()
+        grads["weight"] += self._input.T @ grad_output
         if self.use_bias:
-            self.grads["bias"] += grad_output.sum(axis=0)
+            grads["bias"] += grad_output.sum(axis=0)
         return grad_output @ self.params["weight"].T
 
 
 class ReLU(Layer):
     """Rectified linear unit."""
+
+    _CACHE = ("_mask",)
 
     def __init__(self) -> None:
         super().__init__()
@@ -140,12 +184,16 @@ class Sequential(Layer):
 
     State-dict keys are ``"<layer index>.<param name>"`` (e.g. ``"0.weight"``),
     mirroring ``torch.nn.Sequential`` so the paper's code snippet translates
-    directly.
+    directly.  The same keys name the shared gradient slots, so every network
+    of one architecture trains through one gradient set: ``parameter_grads()``
+    is scratch, valid from ``backward`` to ``step``.
     """
 
     def __init__(self, layers: List[Layer]) -> None:
         super().__init__()
         self.layers = list(layers)
+        for index, layer in enumerate(self.layers):
+            layer._key_prefix = f"{index}."
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -162,6 +210,10 @@ class Sequential(Layer):
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()
+
+    def clear_cache(self) -> None:
+        for layer in self.layers:
+            layer.clear_cache()
 
     @property
     def num_parameters(self) -> int:

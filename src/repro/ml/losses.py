@@ -56,3 +56,8 @@ class CrossEntropyLoss:
         grad[batch, self._labels] -= 1.0
         grad /= grad.shape[0]
         return grad
+
+    def clear_cache(self) -> None:
+        """Drop the batch ``forward`` kept for ``backward``."""
+        self._probs = None
+        self._labels = None

@@ -93,7 +93,11 @@ class ClassifierModel:
     # ------------------------------------------------------------- train/eval
 
     def train_epoch(self, loader: DataLoader, optimizer: Optimizer) -> float:
-        """Run one epoch of mini-batch SGD; returns the mean training loss."""
+        """Run one epoch of mini-batch SGD; returns the mean training loss.
+
+        The last batch's activations are dropped on return: between epochs
+        the model holds only its parameters (the optimizer its moments).
+        """
         if optimizer.model is not self.network:
             raise ValueError("optimizer is bound to a different network")
         total_loss = 0.0
@@ -107,6 +111,8 @@ class ClassifierModel:
             optimizer.step()
             total_loss += loss
             batches += 1
+        self.network.clear_cache()
+        self.loss_fn.clear_cache()
         if batches == 0:
             raise ValueError("training loader produced no batches")
         return total_loss / batches

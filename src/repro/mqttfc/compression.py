@@ -130,17 +130,15 @@ def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None)
     strategy = zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY
     # Two raw deflaters write the one stream: the coder, and — for the planes
     # Huffman coding only ever stored — a level-0 deflater that goes straight
-    # to stored blocks (and splits them at 65 535 bytes).
+    # to stored blocks (and splits them at 65 535 bytes).  A level-1 frame has
+    # no storer: with LZ77 on, match distances would count past stored bytes.
     coder = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, strategy)
-    storer = zlib.compressobj(0, zlib.DEFLATED, -zlib.MAX_WBITS)
+    storer = zlib.compressobj(0, zlib.DEFLATED, -zlib.MAX_WBITS) if huffman else None
     pieces = [_ZLIB_HEADER]
     checksum = 1
     previous = None
     for part, mantissa in parts:
         deflater = storer if mantissa and huffman else coder
-        if deflater is storer:
-            # With LZ77 on, match distances would count past the stored bytes.
-            assert strategy == zlib.Z_HUFFMAN_ONLY
         if previous is not None:
             # Same deflater: end the block (a Huffman table per plane).  Other
             # deflater: also pad to a byte boundary so the pieces concatenate.
@@ -150,7 +148,7 @@ def compress_frame(frame: PayloadFrame, config: CompressionConfig | None = None)
         pieces.append(deflater.compress(part))
         checksum = zlib.adler32(part, checksum)
         previous = deflater
-    if previous is storer:
+    if huffman and previous is storer:
         pieces.append(storer.flush(zlib.Z_SYNC_FLUSH))
     pieces.append(coder.flush())  # the final block
     pieces.append(checksum.to_bytes(4, "big"))

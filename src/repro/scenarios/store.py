@@ -229,10 +229,9 @@ class ResultsStore:
             "spec": spec.as_dict() if isinstance(spec, ScenarioSpec) else dict(spec),
             "payload": dict(payload), "created_at": time.time()})
 
-    def runs(self, scenario: Optional[str] = None) -> List[StoredRun]:
-        """Stored runs, newest first (optionally filtered by scenario name)."""
-        return sorted((run for run in self._scan(StoredRun) if scenario in (None, run.scenario)),
-                      key=lambda run: (-run.created_at, run.spec_hash, run.seed))
+    def runs(self) -> List[StoredRun]:
+        """Stored runs, newest first."""
+        return sorted(self._scan(StoredRun), key=lambda run: (-run.created_at, run.spec_hash, run.seed))
 
     def resolve_run(self, prefix: str, seed: Optional[int] = None) -> StoredRun:
         """Find exactly one run by spec-hash prefix (CLI ``store show``)."""
@@ -293,7 +292,8 @@ class ResultsStore:
         return removed
 
     def stats(self) -> Dict[str, object]:
-        """Headline numbers for ``store ls``: file counts and bytes on disk."""
+        """File counts and bytes on disk, unread files included (``store ls``
+        prints the bytes beside the counts of the entries it loaded)."""
         runs, grids = self._names(StoredRun), self._names(StoredGrid)
         size = sum(os.path.getsize(os.path.join(self.path, kind.DIR, name))
                    for kind, names in ((StoredRun, runs), (StoredGrid, grids)) for name in names)

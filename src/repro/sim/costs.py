@@ -3,10 +3,15 @@
 These models provide the delay numbers behind the Fig. 8 reproduction.  They
 deliberately stay simple and interpretable — each term is a linear function of
 the obvious driver (samples trained, bytes moved, models aggregated) scaled by
-the device's relative compute speed — plus the one non-linearity that the
-paper's motivation hinges on: a *memory-overflow penalty* when an aggregator
-must buffer more peer models than fit in its available memory, forcing
-load/store traffic to storage (paper §III.E.6).
+the device's relative compute speed.  Fig. 8's delays are these linear terms
+alone; its central-vs-hierarchical gap is the per-model ``aggregate_fixed_s``.
+
+The one non-linearity, which the paper's motivation hinges on, is a
+*memory-overflow penalty* when an aggregator must buffer more peer models than
+fit in its available memory, forcing load/store traffic to storage (paper
+§III.E.6).  It fires only when the buffered models outgrow the aggregator's
+available memory (a small device, the ``memory_pressure`` knob, a device-memory
+override); no ``fig8`` run records an overflow event.
 """
 
 from __future__ import annotations

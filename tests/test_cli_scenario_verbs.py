@@ -126,6 +126,17 @@ class TestStoreVerbs:
         assert out.splitlines()[1:] == before.splitlines()[1:]
         assert template["key"][:12] in out
 
+    @pytest.mark.parametrize("kind, name", [("runs", "ab" * 32 + "-1.json"), ("grids", "cd" * 32 + ".json")])
+    def test_ls_counts_only_the_entries_it_read(self, capsys, store_path, kind, name):
+        with open(os.path.join(store_path, kind, name), "w", encoding="utf-8") as handle:
+            handle.write("garbage")
+        code, out, err = _run(capsys, ["scenario", "store", "ls", "--store", store_path])
+        assert code == 0 and err.count("\n") == 1
+        assert "— 1 run(s), 1 grid(s)," in out.splitlines()[0]
+        code, out, _err = _run(capsys, [
+            "scenario", "store", "ls", "--scenario", "heavy-churn", "--store", store_path])
+        assert "— 1 run(s), 1 grid(s)," in out.splitlines()[0] and "(no stored runs)" in out
+
     def test_gc_without_a_selector_exits_2(self, capsys, store_path):
         code, _out, err = _run(capsys, ["scenario", "store", "gc", "--store", store_path])
         assert code == 2 and err

@@ -335,6 +335,26 @@ class TestStoredPlanes:
                     "q": self.RNG.integers(0, 255, 500).astype(np.uint8), "n": np.arange(900, dtype="<i4"),
                     "h": self.SMALL.astype("<f2"), "d": self.SMALL.astype("<f8")})
 
+    #: (tree, coding, wire length, crc32 of the wire), pinned from the deflater
+    #: pair as it stood before a level-1 frame stopped building a storer.
+    PINNED = [
+        ({"q": (np.arange(4000) * 7 % 251).astype(np.uint8), "scale": 0.5}, "level1", 424, 0x9D1728B6),
+        ({"w": np.linspace(-1.0, 1.0, 3000, dtype="<f4"), "n": np.arange(500, dtype="<i4")},
+         "huffman", 10924, 0x389D2F84),
+    ]
+
+    @pytest.mark.parametrize("tree, coding, length, crc", PINNED, ids=["level1", "huffman"])
+    def test_only_a_huffman_frame_builds_a_storer(self, monkeypatch, tree, coding, length, crc):
+        levels, real = [], zlib.compressobj
+        monkeypatch.setattr(
+            zlib, "compressobj", lambda level, *rest: levels.append(level) or real(level, *rest)
+        )
+        frame = compress_frame(encode_payload_frame(tree))
+        wire = frame.tobytes()
+        assert frame.coding == coding
+        assert levels == ([1, 0] if coding == "huffman" else [1])
+        assert (len(wire), zlib.crc32(wire)) == (length, crc)
+
     def test_the_checksum_covers_the_stored_planes(self):
         wire = self.check({"w": self.LONG})
         at = wire.index(plane(self.LONG, 1)[:64]) + 17
